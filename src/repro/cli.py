@@ -185,12 +185,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.fastpath is not None:
-        # The toggle rides the environment so forked pool workers
-        # inherit it (see repro.sim.fastpath.ENV_TOGGLE).
-        os.environ["DOMINO_FASTPATH"] = args.fastpath
-    if args.no_fastpath:
-        os.environ["DOMINO_FASTPATH"] = "0"
     set_policy(ExecutionPolicy(jobs=args.jobs,
                                use_cache=not args.no_cache,
                                cache_dir=args.cache_dir,
@@ -544,13 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="append an ASCII bar chart of COLUMN")
     run_p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                        help="worker processes for cell execution (default 1)")
-    run_p.add_argument("--no-fastpath", action="store_true",
-                       help="disable the shared L1-filter fast path "
-                            "(results are bit-identical either way)")
-    run_p.add_argument("--fastpath", choices=["0", "1", "jit"], default=None,
-                       help="fast path mode: 0 off, 1 vectorised (default), "
-                            "jit numba kernel with soft fallback; results "
-                            "are bit-identical in every mode")
     run_p.add_argument("--no-cache", action="store_true",
                        help="bypass the artifact cache (always re-execute)")
     run_p.add_argument("--cache-dir", default=None, metavar="DIR",

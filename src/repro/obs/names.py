@@ -38,7 +38,6 @@ EVT_RUN_COMPLETE = "run_complete"          # one trace-driven simulation finishe
 EVT_FASTPATH_BUILD = "fastpath_build"            # one-pass L1 filter computed
 EVT_FASTPATH_FILTER_HIT = "fastpath_filter_hit"  # filter served from memo/store
 EVT_FASTPATH_FILTER_REJECTED = "fastpath_filter_rejected"  # bad artifact quarantined
-EVT_FASTPATH_JIT_FALLBACK = "fastpath_jit_fallback"  # numba absent; vectorised used
 
 # -- runner.shm events -------------------------------------------------------
 EVT_TRACE_SHM_PUBLISHED = "trace_shm_published"  # traces exported to shared memory
@@ -104,7 +103,6 @@ MET_FASTPATH_BUILDS = "fastpath_builds"          # filters built from a trace
 MET_FASTPATH_REPLAYS = "fastpath_replays"        # engine runs served by replay
 MET_FASTPATH_MEMO_HITS = "fastpath_memo_hits"    # filters reused in-process
 MET_FASTPATH_STORE_HITS = "fastpath_store_hits"  # filters loaded from the store
-MET_FASTPATH_JIT_FALLBACKS = "fastpath_jit_fallbacks"  # jit requested, unavailable
 
 # -- runner.shm counters -----------------------------------------------------
 MET_TRACE_SHM_SEGMENTS = "trace_shm_segments"    # segments published per run

@@ -27,7 +27,7 @@ from ..obs.trace import span
 from ..prefetchers.registry import make_prefetcher
 from ..sequitur.analysis import analyze_sequence
 from ..sim import fastpath
-from ..sim.engine import TraceSimulator, collect_miss_stream, simulate_trace
+from ..sim.engine import TraceSimulator
 from ..sim.multicore import simulate_multicore
 from ..sim.trace import MemoryTrace
 from ..workloads.suite import WorkloadSuite
@@ -152,14 +152,9 @@ def _execute_trace(cell: Cell, options: Any) -> dict[str, Any]:
     degree = cell.degree if cell.degree is not None else options.degree
     prefetcher = make_prefetcher(cell.prefetcher, config, degree=degree,
                                  **dict(cell.params))
-    if fastpath.enabled():
-        filt = _l1_filter(cell.workload, options, config)
-        sim = TraceSimulator(config, prefetcher)
-        result = sim.run_filtered(filt, warmup=_warmup(options))
-    else:
-        trace = _trace(cell.workload, options)
-        result = simulate_trace(trace, config, prefetcher,
-                                warmup=_warmup(options))
+    filt = _l1_filter(cell.workload, options, config)
+    result = TraceSimulator(config, prefetcher).run_filtered(
+        filt, warmup=_warmup(options))
     return {
         "coverage": result.coverage,
         "overprediction_ratio": result.overprediction_ratio,
@@ -173,18 +168,12 @@ def _execute_trace(cell: Cell, options: Any) -> dict[str, Any]:
 
 def _execute_opportunity(cell: Cell, options: Any) -> dict[str, Any]:
     config = cell_config(cell)
-    if fastpath.enabled():
-        # With a NullPrefetcher the buffer never fills, so the baseline
-        # miss stream over the measured window *is* the window's L1
-        # filter — no engine run needed.
-        bounds = (_warmup(options), options.n_accesses)
-        filt = _l1_filter(cell.workload, options, config, window=bounds)
-        blocks = filt.blocks.tolist()
-    else:
-        trace = _trace(cell.workload, options)
-        window = trace.slice(_warmup(options), len(trace))
-        miss_stream = collect_miss_stream(window, config)
-        blocks = [block for _, block in miss_stream]
+    # With a NullPrefetcher the buffer never fills, so the baseline miss
+    # stream over the measured window *is* the window's L1 filter — no
+    # engine run needed.
+    bounds = (_warmup(options), options.n_accesses)
+    filt = _l1_filter(cell.workload, options, config, window=bounds)
+    blocks = filt.blocks.tolist()
     analysis = analyze_sequence(blocks)
     return {
         "opportunity": analysis.opportunity,

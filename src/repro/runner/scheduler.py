@@ -48,7 +48,6 @@ from ..obs.trace import current_span, span
 from ..errors import (CellFailedError, CheckpointError, JobCancelled,
                       RunnerTimeoutError)
 from ..faults import FaultPlan, corrupt_artifact
-from ..sim import fastpath
 from ..workloads.suite import WorkloadSuite
 from . import shm
 from .cells import Cell, cell_config, cell_key, l1_filter_key
@@ -354,19 +353,18 @@ def _trace_share_plan(pending: list[tuple[int, str, Cell]], options: Any,
                       store: ResultStore | None) -> dict[str, str]:
     """Spec key -> workload for traces some pool worker will generate.
 
-    A trace is needed unless the fastpath will serve the cell from an
-    already-stored filter — probed via :func:`l1_filter_key`, which is
-    computable without the trace bytes.  A filter that is *not* stored
-    yet means the first worker to claim the cell builds it from the
-    trace (and concurrent workers on sibling cells race to do the
-    same), so the trace still has to travel.
+    A trace is needed unless the cell's L1 filter is already stored —
+    probed via :func:`l1_filter_key`, which is computable without the
+    trace bytes.  A filter that is *not* stored yet means the first
+    worker to claim the cell builds it from the trace (and concurrent
+    workers on sibling cells race to do the same), so the trace still
+    has to travel.
     """
     needed: dict[str, str] = {}
-    fastpath_on = fastpath.enabled()
     for _, _, cell in pending:
         if cell.kind not in ("trace", "opportunity"):
             continue
-        if fastpath_on and store is not None:
+        if store is not None:
             if cell.kind == "trace":
                 window = None
             else:
@@ -388,11 +386,9 @@ def _publish_trace_share(pending: list[tuple[int, str, Cell]], options: Any,
 
     Returns ``None`` whenever sharing is off, pointless, or fails —
     workers then regenerate per process exactly as before, so this can
-    only ever remove work, never change results.  ``legacy`` fastpath
-    mode also opts out: it exists to reproduce the PR 9-era cost model
-    for benchmarking.
+    only ever remove work, never change results.
     """
-    if not shm.share_enabled() or fastpath.mode() == "legacy":
+    if not shm.share_enabled():
         return None
     shm.reap_stale_segments()
     try:

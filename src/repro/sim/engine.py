@@ -2,16 +2,20 @@
 
 Implements the paper's trace-based methodology (Section IV-C/D): all
 prefetchers are trained on the L1-D miss sequence and prefetch into a
-32-block buffer near the L1-D.  For each access the engine:
+32-block buffer near the L1-D.  Prefetches never fill the L1, so its
+hit/miss split is prefetcher-independent, and the engine is one event
+loop over the L1 misses — produced lazily from the trace by
+:meth:`TraceSimulator.run`, or read from a precomputed
+:class:`~repro.sim.fastpath.L1Filter` by
+:meth:`TraceSimulator.run_filtered`.  For each miss the engine:
 
-1. looks up the L1-D (allocating on miss);
-2. on an L1 miss, consults the prefetch buffer — a hit there is a
-   *covered* miss and a triggering event of kind "prefetch hit", a miss
-   is an uncovered miss and a triggering event of kind "miss";
-3. forwards the triggering event to the prefetcher and inserts the
+1. consults the prefetch buffer — a hit there is a *covered* miss and
+   a triggering event of kind "prefetch hit", a miss is an uncovered
+   miss and a triggering event of kind "miss";
+2. forwards the triggering event to the prefetcher and inserts the
    returned candidates into the buffer (skipping blocks already
    resident in L1 or buffer);
-4. routes buffer evictions and stream discards back to the prefetcher
+3. routes buffer evictions and stream discards back to the prefetcher
    (stream-end detection / replacement semantics).
 
 Outputs are :class:`SimulationResult` objects carrying the coverage
@@ -22,6 +26,7 @@ raw miss sequence when requested (for Sequitur analysis).
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -39,11 +44,11 @@ from ..obs.trace import span as trace_span
 from ..prefetchers.base import NullPrefetcher, Prefetcher
 from ..stats.metrics import CoverageMetrics
 from ..stats.streamstats import StreamLengthStats
+from .fastpath import L1Filter, l1_misses
 from .trace import MemoryTrace
 
 if TYPE_CHECKING:
     from ..obs.runtime import Scope
-    from .fastpath import L1Filter
 
 #: Engine telemetry scope.  Disabled (one global read per guard) until
 #: :func:`repro.obs.configure` turns the process's telemetry on; events
@@ -119,31 +124,75 @@ class TraceSimulator:
 
     def run(self, trace: MemoryTrace, warmup: int = 0) -> SimulationResult:
         """Simulate the whole trace; ``warmup`` leading accesses train
-        state but are excluded from the reported counters."""
-        self._validate_warmup(warmup, len(trace))
-        pcs, blocks, _, _ = trace.as_lists()
+        state but are excluded from the reported counters.
+
+        The L1 misses come from one lazy pass of the trace through
+        ``self.l1`` (:func:`repro.sim.fastpath.l1_misses`), consumed by
+        the same event loop :meth:`run_filtered` drives.  The pass
+        advances only as the loop asks for the next miss, so when a
+        miss is processed the cache holds exactly the blocks the loop's
+        residency set does.
+        """
+        n_accesses = len(trace)
+        self._validate_warmup(warmup, n_accesses)
+        return self._replay(l1_misses(self.l1, trace), n_accesses, warmup,
+                            trace.name)
+
+    def run_filtered(self, filt: L1Filter, warmup: int = 0) -> SimulationResult:
+        """Replay only the L1 misses recorded in ``filt``.
+
+        Bit-identical to :meth:`run` on the originating trace (pinned
+        against the per-access reference simulator in ``tests/sim/``):
+        prefetches never fill the L1, so its hit/miss split and
+        eviction sequence are prefetcher-independent and
+        :func:`repro.sim.fastpath.build_l1_filter` precomputes them once
+        per ``(trace, l1 config)``.  The simulator's own ``self.l1`` is
+        untouched — every L1 fact comes from the filter.
+        """
+        n_accesses = filt.n_accesses
+        self._validate_warmup(warmup, n_accesses)
+        if _OBS.enabled:
+            _OBS.counter(obs_names.MET_FASTPATH_REPLAYS).inc()
+        # One packed materialisation, cached on the filter — every cell
+        # sharing this filter (memo or store mmap) reuses the same rows.
+        return self._replay(filt.replay_rows(), n_accesses, warmup,
+                            filt.trace_name, mode="replay")
+
+    def _replay(self, rows: Iterable[Sequence[int]], n_accesses: int,
+                warmup: int, name: str, **span_attrs: str) -> SimulationResult:
+        """The engine's one event loop, over ``(index, pc, block,
+        evicted)`` L1-miss rows in access order.
+
+        The loop walks the ~miss-rate fraction of accesses, maintains an
+        exact L1 residency set from the recorded evictions (all the
+        candidate filter needs), and reconstructs the hit counters
+        analytically.  Hits only ever incremented ``accesses`` and
+        ``l1_hits``, and the warm-up reset fires before the first miss
+        at or past ``warmup`` — exactly where a per-access loop resets.
+        """
         prefetcher = self.prefetcher
-        l1 = self.l1
         buffer = self.buffer
         metrics = self.metrics
         stream_useful = self._stream_useful
         streams_seen = self._streams_seen
         tel = _OBS
         tracing = tel.enabled
-        # Hoisted out of the hot loop: per-access debug events are the
+        # Hoisted out of the hot loop: per-event debug events are the
         # single most expensive emit path, and at info level and above
         # every one of them would be filtered out after the call anyway.
         emit_debug = tracing and tel.enabled_for(DEBUG)
         # Trigger/prefetch tallies accumulate in locals and flush to the
-        # registry once per run: one integer add per access instead of a
+        # registry once per run: one integer add per event instead of a
         # Counter.inc() call, which is what keeps spans-on overhead
         # inside the bench_obs.py budget.
         n_miss = n_phit = n_issued = n_evict = n_over = 0
-        # Cooperative cancellation: bounded-staleness checkpoints every
-        # check_every accesses.  Without a token the NEVER sentinel makes
-        # the in-loop test a single always-false integer compare, and
-        # checkpoints only observe, so results are bit-identical either
-        # way (pinned by tests/sim/test_cancel.py).
+        # Cooperative cancellation: bounded-staleness checkpoints keyed
+        # to the *original* access index, so progress is metered in
+        # simulated accesses even though the loop only visits misses.
+        # Without a token the NEVER sentinel makes the in-loop test a
+        # single always-false integer compare, and checkpoints only
+        # observe, so results are bit-identical either way (pinned by
+        # tests/sim/test_cancel.py).
         cancel = current_token()
         published = 0
         if cancel is not None:
@@ -153,141 +202,22 @@ class TraceSimulator:
         else:
             next_check = NEVER
 
-        with trace_span(obs_names.SPAN_SIMULATE, trace=trace.name,
-                        accesses=len(blocks)), \
-                timed("simulate", emit=False):
-            for i in range(len(blocks)):
-                if i >= next_check:
-                    cancel.checkpoint(i - published)
-                    published = i
-                    next_check = i + check_every
-                if i == warmup and warmup > 0:
-                    self._reset_counters()
-                    metrics = self.metrics
-                block = blocks[i]
-                pc = pcs[i]
-                metrics.accesses += 1
-                if l1.access(block):
-                    metrics.l1_hits += 1
-                    continue
-                entry = buffer.lookup(block)
-                if entry is not None:
-                    metrics.prefetch_hits += 1
-                    stream_useful[entry.stream_id] += 1
-                    if tracing:
-                        n_phit += 1
-                        if emit_debug:
-                            tel.debug(obs_names.EVT_TRIGGER, kind="prefetch_hit", i=i,
-                                      pc=pc, block=block, stream=entry.stream_id)
-                    candidates = prefetcher.on_prefetch_hit(pc, block, entry.stream_id)
-                else:
-                    metrics.misses += 1
-                    if self.collect_misses:
-                        self._miss_stream.append((pc, block))
-                    if tracing:
-                        n_miss += 1
-                        if emit_debug:
-                            tel.debug(obs_names.EVT_TRIGGER, kind="miss", i=i,
-                                      pc=pc, block=block)
-                    candidates = prefetcher.on_miss(pc, block)
-
-                killed = prefetcher.take_killed_streams()
-                for sid in killed:
-                    buffer.invalidate_stream(sid)
-
-                for cand_block, sid in candidates:
-                    if buffer.probe(cand_block) or l1.probe(cand_block):
-                        continue
-                    metrics.prefetches_issued += 1
-                    streams_seen.add(sid)
-                    if tracing:
-                        n_issued += 1
-                        if emit_debug:
-                            tel.debug(obs_names.EVT_PREFETCH, block=cand_block,
-                                      stream=sid)
-                    victim = buffer.insert(cand_block, sid)
-                    if victim is not None:
-                        if tracing:
-                            if victim.used:
-                                n_evict += 1
-                                if emit_debug:
-                                    tel.debug(obs_names.EVT_EVICTION,
-                                              block=victim.block,
-                                              stream=victim.stream_id)
-                            else:
-                                n_over += 1
-                                if emit_debug:
-                                    tel.debug(obs_names.EVT_OVERPREDICTION,
-                                              block=victim.block,
-                                              stream=victim.stream_id)
-                        prefetcher.on_buffer_eviction(
-                            victim.block, victim.stream_id, victim.used)
-
-        if cancel is not None:
-            cancel.advance(len(blocks) - published)
-        if tracing:
-            self._flush_tallies(tel, n_miss, n_phit, n_issued, n_evict,
-                                n_over)
-        return self._emit_result(self._finalise(trace.name))
-
-    def run_filtered(self, filt: "L1Filter", warmup: int = 0) -> SimulationResult:
-        """Replay only the L1 misses recorded in ``filt``.
-
-        Bit-identical to :meth:`run` on the originating trace (pinned by
-        ``tests/sim/test_fastpath.py``): prefetches never fill the L1,
-        so its hit/miss split and eviction sequence are
-        prefetcher-independent and :func:`repro.sim.fastpath.build_l1_filter`
-        precomputes them once per ``(trace, l1 config)``.  The replay
-        walks the ~miss-rate fraction of accesses, maintains an exact L1
-        residency set from the recorded evictions (all the candidate
-        filter needs), and reconstructs the hit counters analytically.
-        The simulator's own ``self.l1`` is untouched — every L1 fact
-        comes from the filter.
-        """
-        n_accesses = filt.n_accesses
-        self._validate_warmup(warmup, n_accesses)
-        prefetcher = self.prefetcher
-        buffer = self.buffer
-        metrics = self.metrics
-        stream_useful = self._stream_useful
-        streams_seen = self._streams_seen
-        tel = _OBS
-        tracing = tel.enabled
-        emit_debug = tracing and tel.enabled_for(DEBUG)
-        if tracing:
-            tel.counter(obs_names.MET_FASTPATH_REPLAYS).inc()
-        # Local tallies, flushed once after the loop (see run()).
-        n_miss = n_phit = n_issued = n_evict = n_over = 0
-        # Cancellation checkpoints keyed to the *original* access index,
-        # so progress is metered in simulated accesses exactly as run()
-        # meters it even though this loop only visits the misses.
-        cancel = current_token()
-        published = 0
-        if cancel is not None:
-            cancel.raise_if_cancelled()
-            check_every = cancel.check_every
-            next_check = check_every
-        else:
-            next_check = NEVER
-
-        # One packed materialisation, cached on the filter — every cell
-        # sharing this filter (memo or store mmap) reuses the same rows.
-        rows = filt.replay_rows()
         resident: set[int] = set()
-        reset_done = warmup == 0
+        # Access index of the warm-up reset; NEVER once it has fired.
+        reset_at = warmup if warmup else NEVER
 
-        with trace_span(obs_names.SPAN_SIMULATE, trace=filt.trace_name,
-                        accesses=n_accesses, mode="replay"), \
+        with trace_span(obs_names.SPAN_SIMULATE, trace=name,
+                        accesses=n_accesses, **span_attrs), \
                 timed("simulate", emit=False):
             for i, pc, block, victim_block in rows:
                 if i >= next_check:
                     cancel.checkpoint(i - published)
                     published = i
                     next_check = i + check_every
-                if not reset_done and i >= warmup:
+                if i >= reset_at:
                     self._reset_counters()
                     metrics = self.metrics
-                    reset_done = True
+                    reset_at = NEVER
                 if victim_block >= 0:
                     resident.discard(victim_block)
                 resident.add(block)
@@ -344,13 +274,11 @@ class TraceSimulator:
                         prefetcher.on_buffer_eviction(
                             victim.block, victim.stream_id, victim.used)
 
-        if not reset_done:
-            # Every recorded miss fell inside the warm-up window; the
-            # unfiltered loop would still have reset at i == warmup.
+        if reset_at != NEVER:
+            # Every miss fell inside the warm-up window; a per-access
+            # loop would still have reset at i == warmup.
             self._reset_counters()
         metrics = self.metrics
-        # The skipped hit iterations only ever touched these two
-        # counters; the engine's per-access increments reduce to them.
         measured = n_accesses - warmup
         metrics.accesses = measured
         metrics.l1_hits = measured - (metrics.misses + metrics.prefetch_hits)
@@ -359,7 +287,7 @@ class TraceSimulator:
         if tracing:
             self._flush_tallies(tel, n_miss, n_phit, n_issued, n_evict,
                                 n_over)
-        return self._emit_result(self._finalise(filt.trace_name))
+        return self._emit_result(self._finalise(name))
 
     @staticmethod
     def _flush_tallies(tel: "Scope", n_miss: int, n_phit: int, n_issued: int,

@@ -25,44 +25,32 @@ residency set is bit-identical to running the full cache
 (:meth:`repro.sim.engine.TraceSimulator.run_filtered` carries the
 replay; ``tests/sim/test_fastpath.py`` pins the equivalence).
 
-Three build kernels produce identical filters (cross-checked in tests):
+Two build kernels produce identical filters: a closed-form numpy kernel
+for 2-way LRU sets (every shipped L1 config) and, for any other
+associativity, one scalar pass through the
+:class:`~repro.memory.cache.Cache` model — the pass
+:meth:`~repro.sim.engine.TraceSimulator.run` walks lazily through
+:func:`l1_misses` instead of building a filter.
 
-``1`` (default)
-    A vectorised per-set sweep: accesses are grouped by cache set with
-    one stable argsort, a numpy mask proves most re-references are
-    *certain hits* (a block re-accessed within ``ways`` set-local
-    accesses cannot have been evicted in between), and only the
-    remaining uncertain positions run through a small Python sweep that
-    tracks residency and LRU recency via per-block occurrence pointers.
-``jit``
-    An optional numba-compiled per-access kernel.  When numba is not
-    importable (it is an optional dependency) the build soft-falls-back
-    to the vectorised sweep — ``DOMINO_FASTPATH=jit`` is always safe.
-``legacy``
-    The original scalar loop over the :class:`~repro.memory.cache.Cache`
-    model.  Kept as the reference implementation for cross-checks and
-    as the PR 9-era baseline for ``benchmarks/bench_fastpath.py``.
-
-Filters serialise two ways: the original JSON-inline codec (zlib +
-base64 over little-endian int64, still accepted on load) and the
-binary sidecar codec — a real ``.npy`` file of the four int64 columns
-written next to the JSON envelope by :class:`repro.runner.store` and
-opened by workers via ``np.load(..., mmap_mode="r")`` (zero-copy, page
-cache shared across processes).  The cache *key* of a filter is owned
-by :func:`repro.runner.cells.l1_filter_key` — the runner layer knows
-what identifies a generated trace; this module only knows how to
-build, encode, and replay filters.
+Filters persist as a JSON envelope plus a binary sidecar — a real
+``.npy`` file of the four int64 columns written next to the envelope
+by :class:`repro.runner.store` and opened by workers via
+``np.load(..., mmap_mode="r")`` (zero-copy, page cache shared across
+processes).  The cache *key* of a filter is owned by
+:func:`repro.runner.cells.l1_filter_key` — the runner layer knows what
+identifies a generated trace; this module only knows how to build,
+encode, and replay filters.
 """
 
 from __future__ import annotations
 
-import base64
 import io
 import os
 import time
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -75,29 +63,13 @@ from ..obs import scope as obs_scope
 from ..obs.trace import span as trace_span
 from .trace import MemoryTrace
 
-#: Bump when the filter semantics change (rides next to the runner's
-#: ``CODE_VERSION`` inside the artifact key material).  The binary
-#: sidecar codec did *not* bump this: the filter content is unchanged,
-#: old JSON-inline payloads still load, and keys stay stable.
-FASTPATH_VERSION = 1
-
-#: Environment toggle (``DOMINO_FASTPATH``): ``0`` forces every cell
-#: through the unfiltered engine loop, ``1`` (default) uses the
-#: vectorised build, ``jit`` prefers the numba kernel (falling back to
-#: ``1`` when numba is absent), and ``legacy`` keeps the scalar build
-#: plus uncached replay prep (benchmark baseline).  Results are
-#: bit-identical in every mode.
-ENV_TOGGLE = "DOMINO_FASTPATH"
-
-#: Recognised ``DOMINO_FASTPATH`` modes (anything else reads as ``1``).
-MODES = ("0", "1", "jit", "legacy")
-
-_OFF_VALUES = ("0", "false", "off", "no")
+#: Bump when the filter semantics or its persisted form change (rides
+#: next to the runner's ``CODE_VERSION`` inside the artifact key
+#: material).  Version 2 retired the zlib+base64 JSON-inline codec:
+#: version-1 artifacts miss on their key and are rebuilt.
+FASTPATH_VERSION = 2
 
 _ARRAY_FIELDS = ("indices", "pcs", "blocks", "evicted")
-
-#: JSON-inline codec marker (PR 5-era payloads; still loadable).
-_CODEC = "zlib+b64:<i8"
 
 #: Binary sidecar codec marker: the envelope stays JSON, the four int64
 #: columns live in a ``.npy`` sidecar opened with ``mmap_mode="r"``.
@@ -105,25 +77,6 @@ BINARY_CODEC = "npy:<i8"
 
 #: Fastpath telemetry scope (off until obs.configure()).
 _OBS = obs_scope("sim.fastpath")
-
-
-def mode() -> str:
-    """The active ``DOMINO_FASTPATH`` mode: ``0``/``1``/``jit``/``legacy``.
-
-    Unset or unrecognised values read as ``1`` (vectorised, on); the
-    historical falsy spellings (``false``/``off``/``no``) read as ``0``.
-    """
-    raw = os.environ.get(ENV_TOGGLE, "1").strip().lower()
-    if raw in _OFF_VALUES:
-        return "0"
-    if raw in ("jit", "legacy"):
-        return raw
-    return "1"
-
-
-def enabled() -> bool:
-    """Whether the filtered replay path is active (default: yes)."""
-    return mode() != "0"
 
 
 @dataclass(frozen=True)
@@ -137,10 +90,9 @@ class L1Filter:
     warm-up boundaries and to reconstruct the hit counters.
 
     All four arrays are **read-only**, whichever way the filter was
-    produced — built from a trace, decoded from a JSON payload, or
-    mapped from a binary sidecar — so a filter shared through the
-    in-process memo or the page cache can never be mutated under
-    another cell's feet.
+    produced — built from a trace or mapped from a binary sidecar — so
+    a filter shared through the in-process memo or the page cache can
+    never be mutated under another cell's feet.
     """
 
     trace_name: str
@@ -162,8 +114,8 @@ class L1Filter:
                 raise SimulationError(
                     f"L1 filter field {fname} must be 1-D of length {n}")
             # Uniform ownership semantics on every construction path:
-            # freshly built arrays are owned-and-frozen, frombuffer
-            # views and read-only memmaps are already non-writable.
+            # freshly built arrays are owned-and-frozen, read-only
+            # memmaps are already non-writable.
             arr.setflags(write=False)
         if n > self.n_accesses:
             raise SimulationError(
@@ -186,15 +138,8 @@ class L1Filter:
 
         One packed ``np.stack(...).tolist()`` materialisation, cached on
         the filter, so every cell sharing a memoized/store-served filter
-        walks plain Python ints with zero per-cell prep — replacing the
-        four full ``tolist()`` copies the replay used to make per run.
-        In ``legacy`` mode the prep is deliberately rebuilt per call
-        (the PR 9-era cost model the benchmark measures against).
+        walks plain Python ints with zero per-cell prep.
         """
-        if mode() == "legacy":
-            return [list(row) for row in zip(
-                self.indices.tolist(), self.pcs.tolist(),
-                self.blocks.tolist(), self.evicted.tolist())]
         rows = self._rows
         if rows is None:
             if self.n_misses:
@@ -217,6 +162,23 @@ def _cancel_checks() -> tuple[Any, int]:
         return None, NEVER
     cancel.raise_if_cancelled()
     return cancel, cancel.check_every
+
+
+def l1_misses(l1: Cache, trace: MemoryTrace) -> Iterator[tuple[int, int, int, int]]:
+    """Drive ``trace`` through ``l1``, yielding each miss lazily as an
+    ``(index, pc, block, evicted)`` row (``evicted`` is ``-1`` when the
+    set had a free way).
+
+    :meth:`~repro.sim.engine.TraceSimulator.run` feeds it straight to
+    the engine's event loop.  It checks no cancellation itself: the
+    loop's metered checkpoint has to see each miss first.
+    """
+    pcs, blocks, _, _ = trace.as_lists()
+    access = l1.access_traced
+    for i, block in enumerate(blocks):
+        hit, victim = access(block)
+        if not hit:
+            yield i, pcs[i], block, -1 if victim is None else victim
 
 
 def _build_arrays_scalar(
@@ -253,7 +215,7 @@ def _build_arrays_scalar(
 
 
 def _build_arrays_lru2(
-        trace: MemoryTrace, blocks: np.ndarray, set_idx: np.ndarray,
+        trace: MemoryTrace, n_sets: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form kernel for 2-way LRU sets: pure numpy, no sweep.
 
@@ -272,7 +234,15 @@ def _build_arrays_lru2(
     each one global stable sort or scan — no per-set work, no python
     loop over accesses.
     """
+    blocks = np.ascontiguousarray(trace.blocks, dtype=np.int64)
     n = len(blocks)
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy(), empty.copy(), empty.copy()
+    if n_sets & (n_sets - 1) == 0:
+        set_idx = blocks & (n_sets - 1)
+    else:
+        set_idx = blocks % n_sets
     cancel, _ = _cancel_checks()
 
     def checkpoint() -> None:
@@ -330,265 +300,23 @@ def _build_arrays_lru2(
             victim_s[miss][merge])
 
 
-def _build_arrays_vectorised(
-        trace: MemoryTrace, config: SystemConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised kernel: global numpy passes, certain-hit masking.
-
-    Sets are independent, so the whole trace is analysed as one batch
-    of per-set streams.  A block determines its set, which lets every
-    per-set quantity come out of **global** sorts instead of a numpy
-    call per set (the fixed cost of small-array numpy ops across
-    hundreds of sets would otherwise dominate):
-
-    * ``kpos`` — each access's set-local sequence position, from one
-      stable sort grouping accesses by set;
-    * the previous occurrence of each access's block, from one stable
-      sort of the block ids (same block ⇒ same set);
-    * the **certain-hit mask**: a re-reference at set-local position
-      ``k`` whose previous occurrence sits at ``p`` is provably a hit
-      whenever ``k - p <= ways`` — evicting the block in between would
-      take at least ``ways`` accesses to other blocks (``ways - 1``
-      promotions to push it to LRU plus the evicting miss), and only
-      ``k - p - 1`` happened.
-
-    Only the leftovers — first occurrences and far re-references,
-    typically a small fraction of the trace — run through an exact
-    residency/LRU python sweep.  Its recency source is each block's
-    full occurrence list (in set-local positions), so certain hits
-    still "promote" their block without ever being visited.
-    """
-    blocks = np.ascontiguousarray(trace.blocks, dtype=np.int64)
-    n = len(blocks)
-    empty = np.empty(0, dtype=np.int64)
-    if n == 0:
-        return empty, empty.copy(), empty.copy(), empty.copy()
-    n_sets = config.l1d.n_sets
-    ways = config.l1d.ways
-    if n_sets & (n_sets - 1) == 0:
-        set_idx = blocks & (n_sets - 1)
-    else:
-        set_idx = blocks % n_sets
-    if ways == 2:
-        return _build_arrays_lru2(trace, blocks, set_idx)
-    # One stable sort groups every set's accesses contiguously while
-    # preserving time order inside each group; kpos is then each
-    # access's position within its own set's stream.
-    order = np.argsort(set_idx, kind="stable")
-    sorted_sets = set_idx[order]
-    cuts = np.flatnonzero(np.diff(sorted_sets)) + 1
-    starts = np.concatenate(([0], cuts))
-    sizes = np.diff(np.concatenate((starts, [n])))
-    kpos_sorted = np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)
-    kpos = np.empty(n, dtype=np.int64)
-    kpos[order] = kpos_sorted
-    # Previous occurrence of the same block, in set-local positions.
-    uniq, uinv = np.unique(blocks, return_inverse=True)
-    border = np.argsort(uinv, kind="stable")
-    bsorted = uinv[border]
-    prev_k = np.full(n, -1, dtype=np.int64)
-    if n > 1:
-        same = bsorted[1:] == bsorted[:-1]
-        prev_k[border[1:][same]] = kpos[border[:-1][same]]
-    certain_hit = (prev_k >= 0) & (kpos - prev_k <= ways)
-    # Each block's occurrence list (ascending set-local positions) and
-    # a lazily-advanced cursor per block: the LRU recency source.
-    occ_k = kpos[border].tolist()
-    occ_bounds = np.concatenate(
-        ([0], np.cumsum(np.bincount(uinv, minlength=len(uniq)))))
-    occ_ends = occ_bounds[1:].tolist()
-    ptr = occ_bounds[:-1].tolist()
-    uniq_l = uniq.tolist()
-    # The sweep's worklist: non-certain accesses, set-grouped, each as
-    # (global position, set-local position, block id, set id).
-    keep = ~certain_hit[order]
-    int_i = order[keep].tolist()
-    int_k = kpos_sorted[keep].tolist()
-    int_u = uinv[order[keep]].tolist()
-    int_s = sorted_sets[keep].tolist()
-    cancel, check_every = _cancel_checks()
-    next_check = check_every if cancel is not None else NEVER
-    resident: set[int] = set()
-    current_set = -1
-    miss_pos: list[int] = []
-    miss_vic: list[int] = []
-    for visited, (i, k, u, s) in enumerate(zip(int_i, int_k, int_u, int_s)):
-        if visited >= next_check:
-            cancel.raise_if_cancelled()
-            next_check = visited + check_every
-        if s != current_set:
-            resident = set()
-            current_set = s
-        if u in resident:
-            continue              # uncertain re-reference that did hit
-        if len(resident) >= ways:
-            # Victim = resident block with the oldest last access < k;
-            # advance each block's occurrence cursor lazily (monotone
-            # in k within a set, so the sweep stays linear).
-            vic_u = -1
-            vic_rec = n
-            # Recencies are distinct positions, so the argmin is unique
-            # and iteration order cannot change the victim; sorted()
-            # keeps the DET001 no-unordered-iteration invariant anyway.
-            for ru in sorted(resident):
-                p = ptr[ru]
-                end = occ_ends[ru]
-                while p + 1 < end and occ_k[p + 1] < k:
-                    p += 1
-                ptr[ru] = p
-                rec = occ_k[p]
-                if rec < vic_rec:
-                    vic_rec = rec
-                    vic_u = ru
-            resident.discard(vic_u)
-            miss_vic.append(uniq_l[vic_u])
-        else:
-            miss_vic.append(-1)
-        resident.add(u)
-        miss_pos.append(i)
-    if not miss_pos:
-        return empty, empty.copy(), empty.copy(), empty.copy()
-    all_pos = np.asarray(miss_pos, dtype=np.int64)
-    all_vic = np.asarray(miss_vic, dtype=np.int64)
-    merge = np.argsort(all_pos, kind="stable")
-    indices = all_pos[merge]
-    return (indices,
-            np.ascontiguousarray(trace.pcs, dtype=np.int64)[indices],
-            blocks[indices],
-            all_vic[merge])
-
-
-# -- optional numba kernel (DOMINO_FASTPATH=jit) ----------------------------
-
-#: Chunk size between cancellation checkpoints of the jit kernel.
-_JIT_CHUNK = 1 << 16
-
-_JIT_KERNEL: Callable[..., int] | None = None
-_JIT_STATE = "unloaded"          # unloaded | ready | unavailable
-
-
-def _load_jit_kernel() -> Callable[..., int] | None:
-    """Compile (once) and return the numba build kernel, or ``None``.
-
-    Soft dependency: an absent or broken numba leaves the state
-    ``unavailable`` and every ``jit``-mode build falls back to the
-    vectorised kernel, reported once per process through obs.
-    """
-    global _JIT_KERNEL, _JIT_STATE
-    if _JIT_STATE == "unloaded":
-        try:
-            from numba import njit  # type: ignore[import-not-found]
-
-            @njit(cache=True)
-            def _kernel(blocks, start, tags, stamps, out_idx, out_vic, m,
-                        n_sets, ways, use_mask):   # pragma: no cover - needs numba
-                for i in range(blocks.shape[0]):
-                    gi = start + i
-                    block = blocks[i]
-                    if use_mask:
-                        s = block & (n_sets - 1)
-                    else:
-                        s = block % n_sets
-                    base = s * ways
-                    hit = False
-                    for w in range(base, base + ways):
-                        if tags[w] == block:
-                            stamps[w] = gi + 1
-                            hit = True
-                            break
-                    if hit:
-                        continue
-                    slot = -1
-                    for w in range(base, base + ways):
-                        if tags[w] == -1:
-                            slot = w
-                            break
-                    if slot == -1:
-                        slot = base
-                        for w in range(base + 1, base + ways):
-                            if stamps[w] < stamps[slot]:
-                                slot = w
-                        out_vic[m] = tags[slot]
-                    else:
-                        out_vic[m] = -1
-                    out_idx[m] = gi
-                    m += 1
-                    tags[slot] = block
-                    stamps[slot] = gi + 1
-                return m
-
-            _JIT_KERNEL = _kernel
-            _JIT_STATE = "ready"
-        except Exception:  # numba missing or failed to compile
-            _JIT_KERNEL = None
-            _JIT_STATE = "unavailable"
-            if _OBS.enabled:
-                _OBS.counter(obs_names.MET_FASTPATH_JIT_FALLBACKS).inc()
-                _OBS.warning(obs_names.EVT_FASTPATH_JIT_FALLBACK,
-                             fallback="vectorised")
-    return _JIT_KERNEL
-
-
-def jit_available() -> bool:
-    """Whether the numba kernel can actually run in this process."""
-    return _load_jit_kernel() is not None
-
-
-def _build_arrays_jit(
-        trace: MemoryTrace, config: SystemConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Numba kernel build; falls back to vectorised when unavailable."""
-    kernel = _load_jit_kernel()
-    if kernel is None:
-        return _build_arrays_vectorised(trace, config)
-    blocks = np.ascontiguousarray(trace.blocks, dtype=np.int64)
-    n = len(blocks)
-    n_sets = config.l1d.n_sets
-    ways = config.l1d.ways
-    tags = np.full(n_sets * ways, -1, dtype=np.int64)
-    stamps = np.zeros(n_sets * ways, dtype=np.int64)
-    out_idx = np.empty(n, dtype=np.int64)
-    out_vic = np.empty(n, dtype=np.int64)
-    use_mask = n_sets & (n_sets - 1) == 0
-    cancel, check_every = _cancel_checks()
-    m = 0
-    for start in range(0, n, _JIT_CHUNK):
-        if cancel is not None:
-            cancel.raise_if_cancelled()
-        m = kernel(blocks[start:start + _JIT_CHUNK], start, tags, stamps,
-                   out_idx, out_vic, m, n_sets, ways, use_mask)
-    indices = out_idx[:m].copy()
-    return (indices,
-            np.ascontiguousarray(trace.pcs, dtype=np.int64)[indices],
-            blocks[indices],
-            out_vic[:m].copy())
-
-
-_BUILDERS = {
-    "0": _build_arrays_vectorised,    # filter requested despite mode 0
-    "1": _build_arrays_vectorised,
-    "jit": _build_arrays_jit,
-    "legacy": _build_arrays_scalar,
-}
-
-
 def build_l1_filter(trace: MemoryTrace, config: SystemConfig) -> L1Filter:
     """One pass over ``trace`` through the L1-D alone.
 
-    The kernel follows :func:`mode`; every kernel reproduces exactly
-    the hit/miss split and eviction sequence of the
-    :class:`~repro.memory.cache.Cache` model (via ``access_traced``)
-    that the unfiltered engine drives, so the recorded events are
-    precisely what every prefetcher cell would observe.
+    2-way L1s take the closed-form numpy kernel, every other
+    associativity the scalar :class:`~repro.memory.cache.Cache` pass;
+    both reproduce exactly the hit/miss split and eviction sequence the
+    engine's event loop consumes, so the recorded events are precisely
+    what every prefetcher cell would observe.
     """
     with trace_span(obs_names.SPAN_FASTPATH_BUILD, trace=trace.name,
                     accesses=len(trace)):
         wall0 = time.perf_counter()
-        build = _BUILDERS[mode()]
-        indices, pcs, blocks, evicted = build(trace, config)
-        filt = L1Filter(trace_name=trace.name, n_accesses=len(trace),
-                        indices=indices, pcs=pcs, blocks=blocks,
-                        evicted=evicted)
+        if config.l1d.ways == 2:
+            arrays = _build_arrays_lru2(trace, config.l1d.n_sets)
+        else:
+            arrays = _build_arrays_scalar(trace, config)
+        filt = L1Filter(trace.name, len(trace), *arrays)
         if _OBS.enabled:
             _OBS.counter(obs_names.MET_FASTPATH_BUILDS).inc()
             _OBS.info(obs_names.EVT_FASTPATH_BUILD, trace=trace.name,
@@ -600,55 +328,16 @@ def build_l1_filter(trace: MemoryTrace, config: SystemConfig) -> L1Filter:
 
 def build_l1_filter_scalar(trace: MemoryTrace,
                            config: SystemConfig) -> L1Filter:
-    """The reference scalar build, independent of :func:`mode`.
+    """The scalar ``Cache``-pass build, whatever the associativity.
 
-    Used by tests to cross-check the vectorised/jit kernels and by the
-    benchmark as the PR 9-era baseline.
+    The baseline ``benchmarks/bench_fastpath.py`` measures the 2-way
+    kernel against.
     """
-    indices, pcs, blocks, evicted = _build_arrays_scalar(trace, config)
-    return L1Filter(trace_name=trace.name, n_accesses=len(trace),
-                    indices=indices, pcs=pcs, blocks=blocks, evicted=evicted)
+    return L1Filter(trace.name, len(trace),
+                    *_build_arrays_scalar(trace, config))
 
 
 # -- payload codecs ---------------------------------------------------------
-
-
-def _encode(arr: np.ndarray) -> str:
-    data = np.ascontiguousarray(arr, dtype="<i8").tobytes()
-    return base64.b64encode(zlib.compress(data)).decode("ascii")
-
-
-def _decode(text: str, expected_len: int) -> np.ndarray:
-    try:
-        raw = zlib.decompress(base64.b64decode(text.encode("ascii")))
-        arr = np.frombuffer(raw, dtype="<i8")
-    except (ValueError, zlib.error) as exc:
-        raise SimulationError(f"corrupt L1 filter payload: {exc}") from exc
-    if len(arr) != expected_len:
-        raise SimulationError(
-            f"corrupt L1 filter payload: expected {expected_len} values, "
-            f"decoded {len(arr)}")
-    return arr.astype(np.int64, copy=False)
-
-
-def filter_to_payload(filt: L1Filter) -> dict[str, Any]:
-    """Serialise a filter into a self-contained JSON-safe payload.
-
-    The PR 5-era inline codec: still written by callers that need a
-    single JSON document and still accepted by
-    :func:`filter_from_payload` for backward compatibility with
-    already-stored artifacts.
-    """
-    payload: dict[str, Any] = {
-        "version": FASTPATH_VERSION,
-        "codec": _CODEC,
-        "trace_name": filt.trace_name,
-        "n_accesses": filt.n_accesses,
-        "n_misses": filt.n_misses,
-    }
-    for fname in _ARRAY_FIELDS:
-        payload[fname] = _encode(getattr(filt, fname))
-    return payload
 
 
 def filter_to_binary(filt: L1Filter) -> tuple[dict[str, Any], bytes]:
@@ -679,8 +368,25 @@ def filter_to_binary(filt: L1Filter) -> tuple[dict[str, Any], bytes]:
     return payload, data
 
 
-def _filter_from_sidecar(payload: dict[str, Any], n_accesses: int,
-                         n_misses: int, name: str) -> L1Filter:
+def filter_from_payload(payload: dict[str, Any]) -> L1Filter:
+    """Rebuild a filter from an artifact payload.
+
+    The payload must carry a ``sidecar_path`` (attached by
+    :meth:`repro.runner.store.ResultStore.get` when it resolves the
+    envelope's ``payload_path``).  Raises :class:`SimulationError` on
+    any structural mismatch so the caller can treat the artifact as a
+    miss, quarantine it, and rebuild from the trace.
+    """
+    if (payload.get("version") != FASTPATH_VERSION
+            or payload.get("codec") != BINARY_CODEC):
+        raise SimulationError(
+            "L1 filter payload has an incompatible version or codec")
+    try:
+        n_accesses = int(payload["n_accesses"])
+        n_misses = int(payload["n_misses"])
+        name = str(payload["trace_name"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SimulationError(f"malformed L1 filter payload: {exc}") from exc
     path = payload.get("sidecar_path")
     if not isinstance(path, str) or not path:
         raise SimulationError(
@@ -707,33 +413,4 @@ def _filter_from_sidecar(payload: dict[str, Any], n_accesses: int,
         raise SimulationError(
             f"L1 filter sidecar shape mismatch: expected (4, {n_misses}) "
             f"<i8, found {arr.shape} {arr.dtype}")
-    return L1Filter(trace_name=name, n_accesses=n_accesses,
-                    indices=arr[0], pcs=arr[1], blocks=arr[2],
-                    evicted=arr[3])
-
-
-def filter_from_payload(payload: dict[str, Any]) -> L1Filter:
-    """Rebuild a filter from an artifact payload (either codec).
-
-    Binary-codec payloads must carry a ``sidecar_path`` (attached by
-    :meth:`repro.runner.store.ResultStore.get` when it resolves the
-    envelope's ``payload_path``).  Raises :class:`SimulationError` on
-    any structural mismatch so the caller can treat the artifact as a
-    miss, quarantine it, and rebuild from the trace.
-    """
-    codec = payload.get("codec")
-    if (payload.get("version") != FASTPATH_VERSION
-            or codec not in (_CODEC, BINARY_CODEC)):
-        raise SimulationError(
-            "L1 filter payload has an incompatible version or codec")
-    try:
-        n_accesses = int(payload["n_accesses"])
-        n_misses = int(payload["n_misses"])
-        name = str(payload["trace_name"])
-        if codec == BINARY_CODEC:
-            return _filter_from_sidecar(payload, n_accesses, n_misses, name)
-        arrays = {fname: _decode(payload[fname], n_misses)
-                  for fname in _ARRAY_FIELDS}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SimulationError(f"malformed L1 filter payload: {exc}") from exc
-    return L1Filter(trace_name=name, n_accesses=n_accesses, **arrays)
+    return L1Filter(name, n_accesses, arr[0], arr[1], arr[2], arr[3])

@@ -128,6 +128,19 @@ class TestL1FilterKey:
         assert l1_filter_key("oltp", tiny_options, cfg,
                              window=(100, 6000)) != base
 
+    def test_fastpath_version_enters_key(self, tiny_options, monkeypatch):
+        # Bumping FASTPATH_VERSION must move every filter key, so
+        # artifacts of the previous version miss and are rebuilt.
+        from repro.config import SystemConfig
+        from repro.runner.cells import l1_filter_key
+        from repro.sim import fastpath
+
+        cfg = SystemConfig()
+        current = l1_filter_key("oltp", tiny_options, cfg)
+        monkeypatch.setattr(fastpath, "FASTPATH_VERSION",
+                            fastpath.FASTPATH_VERSION - 1)
+        assert l1_filter_key("oltp", tiny_options, cfg) != current
+
     def test_l1_geometry_enters_key(self, tiny_options):
         from repro.config import SystemConfig, small_test_config
         from repro.runner.cells import l1_filter_key

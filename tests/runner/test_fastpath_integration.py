@@ -1,5 +1,5 @@
-"""Fastpath ↔ runner integration: shared filter artifacts and the
-on/off payload-equality guarantee at the scheduler level."""
+"""Fastpath ↔ runner integration: shared filter artifacts, and runner
+payloads equal to the per-access reference simulator's."""
 
 import json
 
@@ -7,10 +7,16 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.config import SystemConfig
 from repro.obs import names as obs_names
+from repro.prefetchers.registry import make_prefetcher
 from repro.runner import Cell, ExecutionPolicy, ResultStore, run_cells
 from repro.runner import execute as execute_mod
+from repro.sequitur.analysis import analyze_sequence
 from repro.sim import fastpath
+from repro.workloads.suite import WorkloadSuite
+
+from ..sim.reference import ReferenceSimulator
 
 
 @pytest.fixture(autouse=True)
@@ -30,20 +36,49 @@ def _grid():
     return cells
 
 
-class TestFastpathToggleEquivalence:
-    def test_payloads_identical_on_and_off(self, tiny_options, tmp_path,
-                                           monkeypatch):
-        monkeypatch.setenv("DOMINO_FASTPATH", "0")
-        off, _ = run_cells(_grid(), tiny_options,
-                           ExecutionPolicy(use_cache=False))
-        monkeypatch.setenv("DOMINO_FASTPATH", "1")
-        on, _ = run_cells(_grid(), tiny_options,
-                          ExecutionPolicy(use_cache=False))
-        assert on == off
+def _reference_payloads(cells, options):
+    """What each cell of ``cells`` must report, from the reference loop."""
+    config = SystemConfig()  # the cells run the default config
+    warmup = int(options.n_accesses * options.warmup_frac)
+    suite = WorkloadSuite(seed=options.seed)
+    payloads = []
+    for cell in cells:
+        trace = suite.trace(cell.workload, options.n_accesses)
+        if cell.kind == "opportunity":
+            window = trace.slice(warmup, len(trace))
+            result = ReferenceSimulator(
+                config, make_prefetcher("baseline", config),
+                collect_misses=True).run(window)
+            blocks = [block for _, block in result.miss_stream]
+            payloads.append({"opportunity": analyze_sequence(blocks).opportunity,
+                             "n_misses": len(blocks)})
+            continue
+        prefetcher = make_prefetcher(cell.prefetcher, config,
+                                     degree=cell.degree)
+        result = ReferenceSimulator(config, prefetcher).run(trace,
+                                                            warmup=warmup)
+        payloads.append({
+            "coverage": result.coverage,
+            "overprediction_ratio": result.overprediction_ratio,
+            "accuracy": result.accuracy,
+            "misses": result.metrics.misses,
+            "prefetch_hits": result.metrics.prefetch_hits,
+            "prefetches_issued": result.metrics.prefetches_issued,
+            "accesses": result.metrics.accesses,
+        })
+    return payloads
 
-    def test_store_served_filter_equivalent(self, tiny_options, tmp_path,
-                                            monkeypatch):
-        monkeypatch.setenv("DOMINO_FASTPATH", "1")
+
+class TestFastpathToggleEquivalence:
+    """The filtered replay the runner always takes, against the
+    reference loop and across a store round trip."""
+
+    def test_payloads_match_reference_simulator(self, tiny_options):
+        payloads, _ = run_cells(_grid(), tiny_options,
+                                ExecutionPolicy(use_cache=False))
+        assert payloads == _reference_payloads(_grid(), tiny_options)
+
+    def test_store_served_filter_equivalent(self, tiny_options, tmp_path):
         cache = tmp_path / "warm-store"
         first, _ = run_cells(_grid(), tiny_options,
                              ExecutionPolicy(use_cache=True, cache_dir=cache))
@@ -57,8 +92,7 @@ class TestFastpathToggleEquivalence:
 
 class TestFilterArtifacts:
     def test_filters_persisted_with_their_own_kind(self, tiny_options,
-                                                   tmp_path, monkeypatch):
-        monkeypatch.setenv("DOMINO_FASTPATH", "1")
+                                                   tmp_path):
         cache = tmp_path / "store"
         run_cells(_grid(), tiny_options,
                   ExecutionPolicy(use_cache=True, cache_dir=cache))
@@ -69,8 +103,7 @@ class TestFilterArtifacts:
         assert kinds.count("cell") == 4
 
     def test_one_filter_shared_across_prefetcher_cells(self, tiny_options,
-                                                       tmp_path, monkeypatch):
-        monkeypatch.setenv("DOMINO_FASTPATH", "1")
+                                                       tmp_path):
         cache = tmp_path / "store"
         cells = [Cell(kind="trace", workload="oltp", prefetcher=name,
                       degree=degree)
@@ -84,14 +117,11 @@ class TestFilterArtifacts:
 
     def test_no_cache_means_no_filter_writes(self, tiny_options, tmp_path,
                                              monkeypatch):
-        monkeypatch.setenv("DOMINO_FASTPATH", "1")
         monkeypatch.setenv("DOMINO_CACHE_DIR", str(tmp_path / "unused"))
         run_cells(_grid(), tiny_options, ExecutionPolicy(use_cache=False))
         assert not (tmp_path / "unused").exists()
 
-    def test_filters_persist_binary_sidecars(self, tiny_options, tmp_path,
-                                             monkeypatch):
-        monkeypatch.setenv("DOMINO_FASTPATH", "1")
+    def test_filters_persist_binary_sidecars(self, tiny_options, tmp_path):
         cache = tmp_path / "store"
         run_cells(_grid(), tiny_options,
                   ExecutionPolicy(use_cache=True, cache_dir=cache))
@@ -105,8 +135,7 @@ class TestCorruptFilterRecovery:
     """A filter the codec rejects is quarantined, reported, rebuilt."""
 
     def test_truncated_sidecar_quarantined_and_rebuilt(self, tiny_options,
-                                                       tmp_path, monkeypatch):
-        monkeypatch.setenv("DOMINO_FASTPATH", "1")
+                                                       tmp_path):
         cache = tmp_path / "store"
         first, _ = run_cells(_grid(), tiny_options,
                              ExecutionPolicy(use_cache=True, cache_dir=cache))
@@ -137,8 +166,8 @@ class TestCorruptFilterRecovery:
 
 
 class TestWindowedFilters:
-    """Opportunity-style sliced-trace filters stay consistent across
-    codecs and agree with the full-trace filter on prefix windows."""
+    """Opportunity-style sliced-trace filters stay consistent through the
+    store and agree with the full-trace filter on prefix windows."""
 
     def test_prefix_window_matches_full_filter_restriction(self, config,
                                                            tiny_trace):
@@ -153,21 +182,18 @@ class TestWindowedFilters:
             assert np.array_equal(getattr(prefix, fname),
                                   getattr(full, fname)[mask]), fname
 
-    def test_windowed_filter_roundtrips_both_codecs(self, config, tiny_trace,
-                                                    tmp_path):
+    def test_windowed_filter_roundtrips_through_store(self, config,
+                                                      tiny_trace, tmp_path):
         window = tiny_trace.slice(1500, len(tiny_trace))
         filt = fastpath.build_l1_filter(window, config)
         store = ResultStore(tmp_path / "cache")
-        key_bin, key_json = "aa" + "0" * 62, "bb" + "1" * 62
+        key = "aa" + "0" * 62
         payload, sidecar = fastpath.filter_to_binary(filt)
-        store.put(key_bin, payload, kind="l1_filter", sidecar=sidecar)
-        store.put(key_json, fastpath.filter_to_payload(filt),
-                  kind="l1_filter")  # JSON-era inline artifact
-        for key in (key_bin, key_json):
-            served = store.get(key, kind="l1_filter")
-            assert served is not None
-            back = fastpath.filter_from_payload(served)
-            assert back.n_accesses == filt.n_accesses
-            for fname in ("indices", "pcs", "blocks", "evicted"):
-                assert np.array_equal(getattr(back, fname),
-                                      getattr(filt, fname)), (key, fname)
+        store.put(key, payload, kind="l1_filter", sidecar=sidecar)
+        served = store.get(key, kind="l1_filter")
+        assert served is not None
+        back = fastpath.filter_from_payload(served)
+        assert back.n_accesses == filt.n_accesses
+        for fname in ("indices", "pcs", "blocks", "evicted"):
+            assert np.array_equal(getattr(back, fname),
+                                  getattr(filt, fname)), fname

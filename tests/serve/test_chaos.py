@@ -102,7 +102,15 @@ class TestMisbehavingTenantContainment:
                 await asyncio.gather(*evil, return_exceptions=True)
                 async with await ServeClient.connect(
                         server.address, "probe") as probe:
+                    # Abandoned jobs are still admitted work and may
+                    # run after good's last job: wait (bounded) for
+                    # the server to go idle before reading the totals.
                     stats = await probe.status()
+                    for _ in range(600):
+                        if not (stats["queue_depth"] or stats["in_flight"]):
+                            break
+                        await asyncio.sleep(0.05)
+                        stats = await probe.status()
                 return results, stats
 
         results, stats = asyncio.run(scenario())
