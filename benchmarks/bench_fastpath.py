@@ -10,10 +10,10 @@ gate on:
   on one workload's trace.  The two filters must be identical, and the
   scalar/kernel wall ratio is gated by ``--min-hotpath-speedup``.
 * **shm** — a fig11-style grid (workloads × paper prefetchers trace
-  cells, plus one opportunity cell per workload) pooled with and
-  without shared-memory trace handoff (``DOMINO_TRACE_SHM``): identical
-  payloads, and zero leaked ``/dev/shm`` segments from this process
-  after both passes.
+  cells, plus one opportunity cell per workload) pooled with
+  shared-memory trace handoff against a serial pass that regenerates
+  every trace in-process: identical payloads, and zero leaked
+  ``/dev/shm`` segments from this process after both passes.
 * **cancel_overhead** — an uncancelled
   :class:`~repro.cancel.CancelToken` attached to a serial, cache-free
   pass of the grid's trace cells through the engine's event loop:
@@ -101,28 +101,26 @@ def _measure_hot_path(options: ExperimentOptions, repeats: int = 7) -> dict:
 
 
 def _measure_shm(cells, options: ExperimentOptions, jobs: int) -> dict:
-    """Pooled grid with vs. without shared-memory trace handoff."""
+    """Pooled grid with shared-memory trace handoff vs. a serial pass."""
     prefix = f"{shm.SEGMENT_PREFIX}{os.getpid()}x"
 
     def leaked() -> list[str]:
         return [n for n in shm.active_segments() if n.startswith(prefix)]
 
-    policy = ExecutionPolicy(jobs=jobs, use_cache=False)
     walls, payloads = {}, {}
-    for label, value in (("off", "0"), ("on", "1")):
-        os.environ["DOMINO_TRACE_SHM"] = value
+    for label, pass_jobs in (("serial", 1), ("pooled", jobs)):
         _reset_process_caches()
         started = time.perf_counter()
-        payloads[label], manifest = run_cells(cells, options, policy)
+        payloads[label], manifest = run_cells(
+            cells, options, ExecutionPolicy(jobs=pass_jobs, use_cache=False))
         walls[label] = round(time.perf_counter() - started, 4)
         if manifest.failed:
-            raise RuntimeError(f"shm={label} pass cell failed")
-    os.environ.pop("DOMINO_TRACE_SHM", None)
+            raise RuntimeError(f"{label} pass cell failed")
     remaining = leaked()
     return {
         "jobs": jobs,
         "wall_s": walls,
-        "equivalent": payloads["on"] == payloads["off"],
+        "equivalent": payloads["pooled"] == payloads["serial"],
         "leaked_segments": remaining,
         "leak_free": not remaining,
     }
@@ -185,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n", type=int, default=60_000,
                         help="accesses per trace")
     parser.add_argument("--jobs", type=int, default=4,
-                        help="worker processes of the shm passes")
+                        help="worker processes of the pooled shm pass")
     parser.add_argument("--degree", type=int, default=1,
                         help="prefetch degree of the shm grid's trace cells")
     parser.add_argument("--seed", type=int, default=1234)
@@ -214,8 +212,8 @@ def main(argv: list[str] | None = None) -> int:
 
     shm_report = _measure_shm(cells, options, args.jobs)
     print(f"shm handoff ({len(cells)} cells, jobs={args.jobs}): "
-          f"off {shm_report['wall_s']['off']:.2f}s, "
-          f"on {shm_report['wall_s']['on']:.2f}s, "
+          f"serial {shm_report['wall_s']['serial']:.2f}s, "
+          f"pooled {shm_report['wall_s']['pooled']:.2f}s, "
           f"equivalent={shm_report['equivalent']}, "
           f"leak_free={shm_report['leak_free']}")
 

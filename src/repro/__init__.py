@@ -51,7 +51,6 @@ from .sim import (
     TraceSimulator,
     simulate_multicore,
     simulate_trace,
-    speedup_over_baseline,
 )
 from .workloads import (
     SERVER_WORKLOADS,
@@ -96,6 +95,5 @@ __all__ = [
     "simulate_multicore",
     "simulate_trace",
     "small_test_config",
-    "speedup_over_baseline",
     "workload_names",
 ]

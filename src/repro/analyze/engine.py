@@ -297,9 +297,6 @@ class Analyzer:
         findings.sort(key=_FINDING_ORDER)
         return findings
 
-    def check_file(self, path: str | Path) -> list[Finding]:
-        return self.check_paths([path])
-
     def check_paths(self, paths: Iterable[str | Path]) -> list[Finding]:
         findings: list[Finding] = []
         contexts: list[FileContext] = []

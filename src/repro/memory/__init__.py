@@ -1,39 +1,28 @@
-"""Memory-hierarchy substrate: caches, MSHRs, prefetch buffer, DRAM model.
+"""Memory-system substrate: caches, prefetch buffer, DRAM model.
 
 This package provides the hardware structures the paper's evaluation
-depends on: a set-associative L1-D and LLC, miss-status holding registers,
-the 32-block prefetch buffer that sits next to the L1-D, a DRAM model with
-latency and shared-bandwidth accounting, and an off-chip metadata traffic
-ledger used to charge History Table / Index Table accesses (Fig. 15).
+depends on: a set-associative LRU cache (the L1-D and the LLC), the
+32-block prefetch buffer that sits next to the L1-D, a DRAM model with
+latency and shared-bandwidth accounting, and an off-chip metadata
+traffic ledger used to charge History Table / Index Table accesses
+(Fig. 15).  The timing model composes the two cache levels itself and
+keeps its MSHR limit in its retire loop.
 """
 
 from .block import block_of, page_of, page_offset_of
 from .cache import Cache, CacheStats
 from .dram import DramModel, BandwidthLedger
-from .dram_banked import BankedDram, DramTimings
-from .hierarchy import MemoryHierarchy, AccessOutcome
 from .metadata import MetadataTraffic
-from .mshr import MshrFile
 from .prefetch_buffer import PrefetchBuffer
-from .replacement import LruPolicy, FifoPolicy, RandomPolicy, make_policy
 
 __all__ = [
-    "AccessOutcome",
     "BandwidthLedger",
-    "BankedDram",
-    "DramTimings",
     "Cache",
     "CacheStats",
     "DramModel",
-    "FifoPolicy",
-    "LruPolicy",
-    "MemoryHierarchy",
     "MetadataTraffic",
-    "MshrFile",
     "PrefetchBuffer",
-    "RandomPolicy",
     "block_of",
-    "make_policy",
     "page_of",
     "page_offset_of",
 ]

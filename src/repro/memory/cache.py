@@ -1,17 +1,14 @@
-"""Set-associative cache model.
+"""Set-associative LRU cache model (the L1-D and the LLC).
 
 The model tracks only *presence* (tags), not data, which is all a
-prefetching study needs.  Each set is a small ordered dict managed by a
-replacement policy.  The hot path (``access``) is written for speed: a
-plain dict-of-OrderedDict with LRU promotion inline rather than going
-through the policy abstraction, because the trace engine calls it once
-per memory access.
+prefetching study needs.  Each set is a small ``OrderedDict`` kept in
+LRU order, oldest first.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import CacheConfig
 
@@ -36,23 +33,15 @@ class CacheStats:
         """Fraction of accesses that missed (0.0 when idle)."""
         return self.misses / self.accesses if self.accesses else 0.0
 
-    def merge(self, other: "CacheStats") -> None:
-        """Accumulate ``other``'s counters into this object."""
-        self.accesses += other.accesses
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        self.fills += other.fills
-
 
 class Cache:
     """LRU set-associative cache over block addresses.
 
     ``access(block)`` returns True on a hit and allocates on a miss
     (write-allocate; this study has no dirty-data concerns).  ``probe``
-    checks presence without side effects, ``fill`` inserts without
-    counting an access (used for prefetch fills into the L1 after a
-    prefetch-buffer hit), and ``invalidate`` drops a block.
+    checks presence without side effects.  Prefetches never fill a
+    cache: they wait in the prefetch buffer until a demand access
+    allocates the block.
     """
 
     def __init__(self, config: CacheConfig) -> None:
@@ -102,14 +91,6 @@ class Cache:
         """Presence check without replacement-state or counter updates."""
         return block in self._sets[self._index(block)]
 
-    def fill(self, block: int) -> int | None:
-        """Insert ``block`` (e.g. a prefetch fill).  Returns evicted block."""
-        line_set = self._sets[self._index(block)]
-        if block in line_set:
-            line_set.move_to_end(block)
-            return None
-        return self._insert(line_set, block)
-
     def _insert(self, line_set: OrderedDict[int, None], block: int) -> int | None:
         victim = None
         if len(line_set) >= self.ways:
@@ -118,26 +99,6 @@ class Cache:
         line_set[block] = None
         self.stats.fills += 1
         return victim
-
-    def invalidate(self, block: int) -> bool:
-        """Drop ``block`` if present; returns whether it was resident."""
-        line_set = self._sets[self._index(block)]
-        if block in line_set:
-            del line_set[block]
-            return True
-        return False
-
-    def flush(self) -> None:
-        """Empty the cache (stats are preserved)."""
-        for line_set in self._sets:
-            line_set.clear()
-
-    def resident_blocks(self) -> list[int]:
-        """All currently resident block addresses (test helper)."""
-        out: list[int] = []
-        for line_set in self._sets:
-            out.extend(line_set)
-        return out
 
     def __contains__(self, block: int) -> bool:
         return self.probe(block)

@@ -17,7 +17,7 @@ keeps traffic counters by category for the Fig. 15 decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import BLOCK_SIZE, SystemConfig
 
@@ -40,13 +40,6 @@ class TrafficCounters:
     @property
     def total_bytes(self) -> int:
         return self.total * BLOCK_SIZE
-
-    def merge(self, other: "TrafficCounters") -> None:
-        self.demand += other.demand
-        self.prefetch_useful += other.prefetch_useful
-        self.prefetch_useless += other.prefetch_useless
-        self.metadata_read += other.metadata_read
-        self.metadata_write += other.metadata_write
 
 
 class BandwidthLedger:
@@ -127,9 +120,3 @@ class DramModel:
         setattr(self.traffic, category, getattr(self.traffic, category) + 1)
         return now + queue_delay + self.latency
 
-    def count_only(self, category: str, blocks: int = 1) -> None:
-        """Record traffic without timing (used by the trace-driven engine,
-        which measures coverage, not cycles)."""
-        if category not in self.CATEGORIES:
-            raise ValueError(f"unknown traffic category {category!r}")
-        setattr(self.traffic, category, getattr(self.traffic, category) + blocks)

@@ -38,12 +38,6 @@ class MetadataTraffic:
     def total(self) -> int:
         return self.reads + self.writes
 
-    def merge(self, other: "MetadataTraffic") -> None:
-        self.index_reads += other.index_reads
-        self.index_writes += other.index_writes
-        self.history_reads += other.history_reads
-        self.history_writes += other.history_writes
-
     def reset(self) -> None:
         self.index_reads = 0
         self.index_writes = 0

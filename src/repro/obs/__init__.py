@@ -28,8 +28,7 @@ from .events import (DEBUG, ERROR, INFO, WARNING, EventTrace, level_name,
 from .registry import (TIME_BUCKETS_S, Counter, Gauge, Histogram,
                        NullRegistry, Registry)
 from .runtime import (ObsConfig, ObsState, Scope, absorb, base_state, capture,
-                      configure, current_config, disable, get_registry,
-                      is_enabled, scope, state)
+                      configure, current_config, disable, scope, state)
 from .summary import render_summary
 from .timers import profile_call, timed
 from .trace import (Span, SpanSink, chrome_trace, critical_path, current_span,
@@ -62,8 +61,6 @@ __all__ = [
     "current_config",
     "current_span",
     "disable",
-    "get_registry",
-    "is_enabled",
     "level_name",
     "parse_level",
     "profile_call",

@@ -109,10 +109,6 @@ def disable() -> None:
     _BASE_STATE = None
 
 
-def is_enabled() -> bool:
-    return state() is not None
-
-
 def state() -> ObsState | None:
     """The active state: this context's capture, else the base."""
     ctx = _CONTEXT_STATE.get()
@@ -128,12 +124,6 @@ def base_state() -> ObsState | None:
 def current_config() -> ObsConfig | None:
     st = state()
     return st.config if st is not None else None
-
-
-def get_registry() -> Registry | NullRegistry:
-    """The active registry, or a no-op stand-in when telemetry is off."""
-    st = state()
-    return st.registry if st is not None else _NULL_REGISTRY
 
 
 class Scope:

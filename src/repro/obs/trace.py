@@ -96,12 +96,6 @@ class Span:
         name learned mid-connection)."""
         self.attrs.update(attrs)
 
-    @property
-    def duration_s(self) -> float:
-        if self.end_s is None:
-            return 0.0
-        return self.end_s - self.start_s
-
 
 #: The innermost open span of the current context (task/thread).
 _CURRENT: contextvars.ContextVar[Span | None] = contextvars.ContextVar(

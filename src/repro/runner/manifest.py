@@ -140,12 +140,6 @@ class RunManifest:
         capacity = self.wall_s * self.jobs
         return min(1.0, self.executed_s / capacity) if capacity > 0 else 0.0
 
-    @property
-    def slowest_cells(self) -> list[CellRecord]:
-        """Executed cells ordered slowest-first (telemetry summaries)."""
-        return sorted((c for c in self.cells if not c.cached),
-                      key=lambda c: -c.wall_s)
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-serialisable form (for logs and tooling)."""
         return {

@@ -384,12 +384,10 @@ def _publish_trace_share(pending: list[tuple[int, str, Cell]], options: Any,
                          store: ResultStore | None) -> shm.TraceShare | None:
     """Generate needed traces once and export them to shared memory.
 
-    Returns ``None`` whenever sharing is off, pointless, or fails —
-    workers then regenerate per process exactly as before, so this can
-    only ever remove work, never change results.
+    Returns ``None`` whenever sharing is pointless or fails — workers
+    then regenerate per process exactly as before, so this can only
+    ever remove work, never change results.
     """
-    if not shm.share_enabled():
-        return None
     shm.reap_stale_segments()
     try:
         plan = _trace_share_plan(pending, options, store)

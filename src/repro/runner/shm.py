@@ -35,9 +35,10 @@ or crashed *parent*.  Two guards keep /dev/shm clean anyway:
   worker's tracker may unlink a live segment early; attaches then fail
   and callers regenerate, degrading throughput, never correctness.
 
-``DOMINO_TRACE_SHM=0`` disables the whole mechanism; workers then fall
-back to per-process regeneration, which stays bit-identical (the spec
-is an optimisation channel, never a correctness dependency).
+Where the platform refuses shared memory, :func:`publish_traces`
+returns ``None`` and workers fall back to per-process regeneration,
+which stays bit-identical (the spec is an optimisation channel, never a
+correctness dependency).
 """
 
 from __future__ import annotations
@@ -59,12 +60,6 @@ from ..sim.trace import MemoryTrace
 #: Prefix of every segment this module creates (pid + sequence follow).
 SEGMENT_PREFIX = "dmtr"
 
-#: Environment toggle: ``0``/``false``/``off``/``no`` disables shm
-#: handoff (workers regenerate traces; results are unchanged).
-ENV_TOGGLE = "DOMINO_TRACE_SHM"
-
-_OFF_VALUES = ("0", "false", "off", "no")
-
 #: Shared-memory telemetry scope (off until obs.configure()).
 _OBS = obs.scope("runner.shm")
 
@@ -75,12 +70,6 @@ _COUNTER = itertools.count()
 #: the whole worker lifetime (the parent owns unlinking).
 _ATTACHED_TRACES: dict[str, MemoryTrace] = {}
 _ATTACHED_SEGMENTS: dict[str, shared_memory.SharedMemory] = {}
-
-
-def share_enabled() -> bool:
-    """Whether trace handoff through shared memory is active."""
-    raw = os.environ.get(ENV_TOGGLE, "1").strip().lower()
-    return raw not in _OFF_VALUES
 
 
 def trace_share_key(workload: str, n_accesses: int, seed: int) -> str:

@@ -1,4 +1,4 @@
-"""Simulators: trace containers, coverage engine, timing model, sampling.
+"""Simulators: trace containers, coverage engine, timing model.
 
 * :mod:`repro.sim.trace` — the memory-access trace format shared by all
   simulators (the stand-in for Flexus trace files).
@@ -6,15 +6,16 @@
   coverage / overprediction / traffic numbers (Figs. 1–5, 9–13, 15, 16).
 * :mod:`repro.sim.timing` / :mod:`repro.sim.multicore` — simplified
   cycle model for the quad-core performance results (Fig. 14).
-* :mod:`repro.sim.sampling` — SimFlex-style windowed measurement with
-  confidence intervals.
+
+Both simulators exclude a leading warm-up window from their counters
+(the SimFlex checkpoint-warming analogue); there are no sampled
+measurement windows or confidence intervals.
 """
 
-from .trace import MemoryTrace, TraceBuilder, load_trace, save_trace
+from .trace import MemoryTrace, load_trace, save_trace
 from .engine import TraceSimulator, SimulationResult, simulate_trace
 from .timing import TimingSimulator, TimingResult
-from .multicore import MulticoreResult, simulate_multicore, speedup_over_baseline
-from .sampling import WindowedStat, confidence_interval
+from .multicore import MulticoreResult, simulate_multicore
 
 __all__ = [
     "MemoryTrace",
@@ -22,13 +23,9 @@ __all__ = [
     "SimulationResult",
     "TimingResult",
     "TimingSimulator",
-    "TraceBuilder",
     "TraceSimulator",
-    "WindowedStat",
-    "confidence_interval",
     "load_trace",
     "save_trace",
     "simulate_multicore",
     "simulate_trace",
-    "speedup_over_baseline",
 ]

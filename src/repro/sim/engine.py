@@ -45,7 +45,7 @@ from ..prefetchers.base import NullPrefetcher, Prefetcher
 from ..stats.metrics import CoverageMetrics
 from ..stats.streamstats import StreamLengthStats
 from .fastpath import L1Filter, l1_misses
-from .trace import MemoryTrace
+from .trace import MemoryTrace, validate_warmup
 
 if TYPE_CHECKING:
     from ..obs.runtime import Scope
@@ -107,21 +107,6 @@ class TraceSimulator:
         self._streams_seen: set[int] = set()
         self._miss_stream: list[tuple[int, int]] = []
 
-    @staticmethod
-    def _validate_warmup(warmup: int, n_accesses: int) -> None:
-        """``warmup`` must leave at least one measured access.
-
-        A warm-up window covering the whole trace used to slip through
-        silently: the counter reset at ``i == warmup`` never fired and
-        the "measured" result quietly included the training window.
-        """
-        if warmup < 0:
-            raise SimulationError(f"warmup must be non-negative, got {warmup}")
-        if warmup and warmup >= n_accesses:
-            raise SimulationError(
-                f"warmup of {warmup} accesses leaves no measured window "
-                f"in a trace of {n_accesses} accesses")
-
     def run(self, trace: MemoryTrace, warmup: int = 0) -> SimulationResult:
         """Simulate the whole trace; ``warmup`` leading accesses train
         state but are excluded from the reported counters.
@@ -134,7 +119,7 @@ class TraceSimulator:
         residency set does.
         """
         n_accesses = len(trace)
-        self._validate_warmup(warmup, n_accesses)
+        validate_warmup(warmup, n_accesses)
         return self._replay(l1_misses(self.l1, trace), n_accesses, warmup,
                             trace.name)
 
@@ -150,7 +135,7 @@ class TraceSimulator:
         untouched — every L1 fact comes from the filter.
         """
         n_accesses = filt.n_accesses
-        self._validate_warmup(warmup, n_accesses)
+        validate_warmup(warmup, n_accesses)
         if _OBS.enabled:
             _OBS.counter(obs_names.MET_FASTPATH_REPLAYS).inc()
         # One packed materialisation, cached on the filter — every cell

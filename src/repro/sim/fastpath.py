@@ -129,10 +129,6 @@ class L1Filter:
     def miss_rate(self) -> float:
         return self.n_misses / self.n_accesses if self.n_accesses else 0.0
 
-    def misses_from(self, warmup: int) -> int:
-        """Number of recorded misses with access index >= ``warmup``."""
-        return int(self.n_misses - np.searchsorted(self.indices, warmup))
-
     def replay_rows(self) -> list[list[int]]:
         """``[index, pc, block, evicted]`` rows for the engine's replay.
 

@@ -97,8 +97,10 @@ def simulate_multicore(trace: MemoryTrace | list[MemoryTrace], config: SystemCon
         cores.append(sim)
 
     # Advance the core with the smallest local clock each step so shared
-    # resources see requests in (approximately) global time order.
-    heap = [(sim.now, idx) for idx, sim in enumerate(cores)]
+    # resources see requests in (approximately) global time order.  A
+    # core with nothing to replay (a trace shorter than n_cores, or an
+    # empty per-core trace) never enters the heap.
+    heap = [(sim.now, idx) for idx, sim in enumerate(cores) if not sim.done()]
     heapq.heapify(heap)
     while heap:
         _, idx = heapq.heappop(heap)
@@ -117,13 +119,3 @@ def simulate_multicore(trace: MemoryTrace | list[MemoryTrace], config: SystemCon
         max(sim.now for sim in cores))
     return result
 
-
-def speedup_over_baseline(trace: MemoryTrace, config: SystemConfig,
-                          prefetcher_name: str,
-                          **prefetcher_kwargs) -> tuple[float, MulticoreResult, MulticoreResult]:
-    """IPC ratio of a prefetcher-equipped chip over the no-prefetcher
-    baseline on the same trace.  Returns (speedup, run, baseline_run)."""
-    baseline = simulate_multicore(trace, config, "baseline")
-    run = simulate_multicore(trace, config, prefetcher_name, **prefetcher_kwargs)
-    speedup = run.ipc / baseline.ipc if baseline.ipc else 0.0
-    return speedup, run, baseline

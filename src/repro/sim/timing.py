@@ -27,15 +27,14 @@ throughput metric).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import SystemConfig
 from ..memory.cache import Cache
 from ..memory.dram import BandwidthLedger, DramModel
-from ..memory.hierarchy import AccessOutcome, MemoryHierarchy
 from ..memory.prefetch_buffer import PrefetchBuffer
 from ..prefetchers.base import NullPrefetcher, Prefetcher
-from .trace import MemoryTrace
+from .trace import MemoryTrace, validate_warmup
 
 
 @dataclass
@@ -74,7 +73,10 @@ class TimingSimulator:
                  shared_ledger: BandwidthLedger | None = None) -> None:
         self.config = config
         self.prefetcher = prefetcher if prefetcher is not None else NullPrefetcher(config)
-        self.hierarchy = MemoryHierarchy(config, shared_llc=shared_llc)
+        self.l1 = Cache(config.l1d)
+        #: Shared between cores in the multicore model (capacity
+        #: contention); prefetches never install into it.
+        self.llc = shared_llc if shared_llc is not None else Cache(config.llc)
         self.dram = DramModel(config, ledger=shared_ledger)
         self.buffer = PrefetchBuffer(config.prefetch_buffer_blocks)
 
@@ -90,6 +92,7 @@ class TimingSimulator:
 
     # -- public driving interface (multicore interleaves step calls) -----
     def load(self, trace: MemoryTrace, warmup: int = 0) -> None:
+        validate_warmup(warmup, len(trace))
         self._pcs, self._blocks, self._deps, self._works = trace.as_lists()
         self._cursor = 0
         self._warmup_at = warmup
@@ -149,7 +152,7 @@ class TimingSimulator:
         self.result.instructions += work + 1
         self._retire(self.inst_index)
 
-        if self.hierarchy.l1.access(block):
+        if self.l1.access(block):
             return  # L1 hit: latency hidden by the pipeline
 
         entry = self.buffer.lookup(block)
@@ -190,7 +193,6 @@ class TimingSimulator:
                 self._outstanding.append((completion, self.inst_index))
                 self._retire(self.inst_index)
         self._last_completion = completion
-        self.hierarchy.fill_l1(block)
         candidates = self.prefetcher.on_prefetch_hit(pc, block, entry.stream_id)
         self._after_event(candidates)
 
@@ -199,7 +201,7 @@ class TimingSimulator:
         res.misses += 1
         if dep:
             self.now = max(self.now, self._last_completion)
-        if self.hierarchy.llc.access(block):
+        if self.llc.access(block):
             res.llc_hits += 1
             completion = self.now + self.config.llc_latency_cycles
         else:
@@ -249,7 +251,7 @@ class TimingSimulator:
         drop_backlog = (self.config.prefetch_drop_backlog_blocks
                         * self.config.cycles_per_block_transfer)
         for block, sid in candidates:
-            if self.buffer.probe(block) or self.hierarchy.l1.probe(block):
+            if self.buffer.probe(block) or self.l1.probe(block):
                 continue
             if self.dram.ledger.backlog(self.now) > drop_backlog:
                 # Channel saturated: shed the prefetch rather than queue
@@ -264,7 +266,8 @@ class TimingSimulator:
             # The serialised metadata round trips delay the block's
             # arrival; the channel occupancy itself is charged at issue
             # time so the single-server queue sees arrivals in order.
-            if self.hierarchy.probe_prefetch_target(block) is AccessOutcome.LLC_HIT:
+            if self.llc.probe(block):
+                self.llc.access(block)  # LRU touch; no fill on a miss
                 ready = self.now + metadata_delay + self.config.llc_latency_cycles
             else:
                 ready = self.dram.access(self.now, "prefetch_useful") + metadata_delay

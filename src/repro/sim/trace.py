@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import TraceError
+from ..errors import SimulationError, TraceError
 
 _FIELDS = ("pcs", "blocks", "deps", "works")
 
@@ -99,35 +99,20 @@ class MemoryTrace:
         return [self.slice(int(bounds[i]), int(bounds[i + 1])) for i in range(n_parts)]
 
 
-class TraceBuilder:
-    """Incremental trace construction used by the workload generators."""
+def validate_warmup(warmup: int, n_accesses: int) -> None:
+    """``warmup`` leading accesses must leave at least one measured one.
 
-    def __init__(self, name: str = "trace") -> None:
-        self.name = name
-        self._pcs: list[int] = []
-        self._blocks: list[int] = []
-        self._deps: list[int] = []
-        self._works: list[int] = []
-
-    def append(self, pc: int, block: int, dep: int = 0, work: int = 0) -> None:
-        """Record one access."""
-        self._pcs.append(pc)
-        self._blocks.append(block)
-        self._deps.append(dep)
-        self._works.append(work)
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    def build(self) -> MemoryTrace:
-        """Freeze into a :class:`MemoryTrace`."""
-        return MemoryTrace(
-            pcs=np.asarray(self._pcs, dtype=np.int64),
-            blocks=np.asarray(self._blocks, dtype=np.int64),
-            deps=np.asarray(self._deps, dtype=np.int8),
-            works=np.asarray(self._works, dtype=np.int32),
-            name=self.name,
-        )
+    Shared by the trace engine and the timing model.  Without it, a
+    warm-up window covering the whole trace would pass silently: the
+    counter reset at ``i == warmup`` never fires, so the "measured"
+    result would include the training window.
+    """
+    if warmup < 0:
+        raise SimulationError(f"warmup must be non-negative, got {warmup}")
+    if warmup and warmup >= n_accesses:
+        raise SimulationError(
+            f"warmup of {warmup} accesses leaves no measured window "
+            f"in a trace of {n_accesses} accesses")
 
 
 def save_trace(trace: MemoryTrace, path: str | Path) -> None:

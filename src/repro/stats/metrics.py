@@ -63,11 +63,3 @@ class CoverageMetrics:
     def miss_rate_reduction(self) -> float:
         """Alias of coverage, for readers thinking in miss-rate terms."""
         return self.coverage
-
-    def merge(self, other: "CoverageMetrics") -> None:
-        self.accesses += other.accesses
-        self.l1_hits += other.l1_hits
-        self.misses += other.misses
-        self.prefetch_hits += other.prefetch_hits
-        self.prefetches_issued += other.prefetches_issued
-        self.overpredictions += other.overpredictions

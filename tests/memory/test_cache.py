@@ -70,7 +70,7 @@ class TestAccess:
         assert cache.stats.hit_rate == pytest.approx(1 / 3)
 
 
-class TestFillProbeInvalidate:
+class TestProbe:
     def test_probe_has_no_side_effects(self):
         cache = small_cache(sets=4, ways=2)
         cache.access(0)
@@ -78,31 +78,6 @@ class TestFillProbeInvalidate:
         cache.probe(0)  # must NOT promote 0
         cache.access(8)
         assert cache.probe(0) is False  # 0 was still LRU
-
-    def test_fill_inserts_without_access_stats(self):
-        cache = small_cache()
-        cache.fill(3)
-        assert cache.probe(3) is True
-        assert cache.stats.accesses == 0
-
-    def test_fill_returns_victim(self):
-        cache = small_cache(sets=4, ways=1)
-        cache.fill(0)
-        assert cache.fill(4) == 0
-
-    def test_invalidate(self):
-        cache = small_cache()
-        cache.access(9)
-        assert cache.invalidate(9) is True
-        assert cache.probe(9) is False
-        assert cache.invalidate(9) is False
-
-    def test_flush_empties_but_keeps_stats(self):
-        cache = small_cache()
-        cache.access(1)
-        cache.flush()
-        assert len(cache) == 0
-        assert cache.stats.accesses == 1
 
     def test_contains_and_len(self):
         cache = small_cache()

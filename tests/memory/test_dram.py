@@ -65,7 +65,8 @@ class TestDramModel:
         dram = DramModel(SystemConfig())
         dram.access(0.0, "demand")
         dram.access(0.0, "metadata_read")
-        dram.count_only("metadata_write", blocks=3)
+        for _ in range(3):
+            dram.access(0.0, "metadata_write")
         assert dram.traffic.demand == 1
         assert dram.traffic.metadata_read == 1
         assert dram.traffic.metadata_write == 3
@@ -75,8 +76,6 @@ class TestDramModel:
         dram = DramModel(SystemConfig())
         with pytest.raises(ValueError):
             dram.access(0.0, "bogus")
-        with pytest.raises(ValueError):
-            dram.count_only("bogus")
 
     def test_cycles_per_block_matches_table1(self):
         config = SystemConfig()
@@ -85,14 +84,6 @@ class TestDramModel:
 
 
 class TestTrafficCounters:
-    def test_merge(self):
-        a = TrafficCounters(demand=1, metadata_read=2)
-        b = TrafficCounters(demand=3, prefetch_useless=4)
-        a.merge(b)
-        assert a.demand == 4
-        assert a.prefetch_useless == 4
-        assert a.total == 10
-
     def test_total_bytes(self):
         t = TrafficCounters(demand=2)
         assert t.total_bytes == 128

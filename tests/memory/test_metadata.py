@@ -11,14 +11,6 @@ def test_aggregates():
     assert traffic.total == 10
 
 
-def test_merge():
-    a = MetadataTraffic(index_reads=1)
-    b = MetadataTraffic(index_reads=2, history_writes=3)
-    a.merge(b)
-    assert a.index_reads == 3
-    assert a.history_writes == 3
-
-
 def test_reset():
     traffic = MetadataTraffic(index_reads=5, history_reads=2)
     traffic.reset()

@@ -73,11 +73,6 @@ class TestAccounting:
         manifest.record_executed("k", "cell", wall_s=5.0)  # timer skew
         assert manifest.utilization == 1.0
 
-    def test_slowest_cells_excludes_hits(self):
-        slowest = _sample().slowest_cells
-        assert [c.wall_s for c in slowest] == [3.0, 1.0]
-        assert all(not c.cached for c in slowest)
-
 
 class TestFailureStatuses:
     def _mixed(self) -> RunManifest:

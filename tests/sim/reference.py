@@ -16,14 +16,14 @@ from repro.config import CacheConfig, SystemConfig
 from repro.prefetchers.registry import make_prefetcher
 from repro.sim.engine import SimulationResult, TraceSimulator
 from repro.sim.fastpath import L1Filter, build_l1_filter
-from repro.sim.trace import MemoryTrace
+from repro.sim.trace import MemoryTrace, validate_warmup
 
 
 class ReferenceSimulator(TraceSimulator):
     """Steps every access through ``self.l1``; same state and results."""
 
     def run(self, trace: MemoryTrace, warmup: int = 0) -> SimulationResult:
-        self._validate_warmup(warmup, len(trace))
+        validate_warmup(warmup, len(trace))
         pcs, blocks, _, _ = trace.as_lists()
         prefetcher = self.prefetcher
         l1 = self.l1

@@ -65,13 +65,6 @@ class TestBuild:
         assert filt.miss_rate == filt.n_misses / filt.n_accesses
         assert list(filt.indices) == sorted(filt.indices)
 
-    def test_misses_from_counts_tail(self, config, tiny_trace):
-        filt = build_l1_filter(tiny_trace, config)
-        assert filt.misses_from(0) == filt.n_misses
-        assert filt.misses_from(filt.n_accesses) == 0
-        mid = len(tiny_trace) // 2
-        assert filt.misses_from(mid) == int(np.sum(filt.indices >= mid))
-
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(SimulationError):
             L1Filter(trace_name="t", n_accesses=10,

@@ -1,29 +1,10 @@
-"""Trace container, builder, and persistence."""
+"""Trace container and persistence."""
 
 import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.sim.trace import MemoryTrace, TraceBuilder, load_trace, save_trace
-
-
-class TestBuilder:
-    def test_build_roundtrip(self):
-        builder = TraceBuilder("t")
-        builder.append(pc=1, block=10, dep=1, work=5)
-        builder.append(pc=2, block=20)
-        trace = builder.build()
-        assert len(trace) == 2
-        assert trace.pcs.tolist() == [1, 2]
-        assert trace.blocks.tolist() == [10, 20]
-        assert trace.deps.tolist() == [1, 0]
-        assert trace.works.tolist() == [5, 0]
-
-    def test_len_during_building(self):
-        builder = TraceBuilder()
-        assert len(builder) == 0
-        builder.append(0, 1)
-        assert len(builder) == 1
+from repro.sim.trace import MemoryTrace, load_trace, save_trace
 
 
 class TestMemoryTrace:

@@ -30,15 +30,6 @@ def test_idle_metrics_are_zero():
     assert m.accuracy == 0.0
 
 
-def test_merge():
-    a = CoverageMetrics(misses=10, prefetch_hits=5, prefetches_issued=8)
-    b = CoverageMetrics(misses=20, prefetch_hits=15, overpredictions=3)
-    a.merge(b)
-    assert a.misses == 30
-    assert a.prefetch_hits == 20
-    assert a.overpredictions == 3
-
-
 @given(misses=st.integers(0, 10**6), hits=st.integers(0, 10**6),
        issued=st.integers(0, 10**6))
 def test_ratios_always_bounded(misses, hits, issued):

@@ -3,20 +3,11 @@
 import pytest
 
 from repro.memory.cache import CacheStats
-from repro.memory.hierarchy import HierarchyStats
 from repro.sim.multicore import MulticoreResult
 from repro.sim.timing import TimingResult
 
 
 class TestCacheStats:
-    def test_merge_accumulates(self):
-        a = CacheStats(accesses=10, hits=6, misses=4, evictions=1, fills=4)
-        b = CacheStats(accesses=5, hits=1, misses=4, evictions=2, fills=4)
-        a.merge(b)
-        assert a.accesses == 15
-        assert a.hits == 7
-        assert a.evictions == 3
-
     def test_rates_idle(self):
         stats = CacheStats()
         assert stats.hit_rate == 0.0
@@ -26,12 +17,6 @@ class TestCacheStats:
         stats = CacheStats(accesses=10, hits=7, misses=3)
         assert stats.hit_rate == pytest.approx(0.7)
         assert stats.miss_rate == pytest.approx(0.3)
-
-
-class TestHierarchyStats:
-    def test_accesses_totalises(self):
-        stats = HierarchyStats(l1_hits=5, llc_hits=3, memory_accesses=2)
-        assert stats.accesses == 10
 
 
 class TestTimingResult:
