@@ -12,7 +12,7 @@ claims under test are the PR's acceptance criteria:
 * **graceful overload** — every job is either completed or shed at
   admission (nothing fails, errors, or vanishes mid-run), and at 4x
   saturation shedding actually happens;
-* **fairness** — the Jain index over equal-weight tenants' completions
+* **fairness** — the Jain index over the tenants' completions
   stays above ``--min-fairness`` (0.9).
 
 Results go to a JSON report (``BENCH_PR6.json``) and the exit status
@@ -135,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--slots", type=int, default=2,
                         help="server worker slots")
     parser.add_argument("--tenants", type=int, default=4,
-                        help="equal-weight tenants")
+                        help="tenants sharing the server")
     parser.add_argument("--jobs-per-tenant", type=int, default=10)
     parser.add_argument("--saturation", type=float, default=4.0,
                         help="offered load as a multiple of capacity")

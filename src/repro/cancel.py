@@ -2,7 +2,7 @@
 
 A :class:`CancelToken` is the thread-safe conduit between the layer
 that *decides* a job must stop (the serve tier's cancel frame, a
-per-job deadline, a quota watchdog, a server shutdown) and the layer
+per-job deadline, a disconnect watchdog, a server shutdown) and the layer
 that is *doing the work* (the simulation engine's hot loop, possibly
 several frames of ``run_cells`` deep and running inside
 ``asyncio.to_thread``).  Cancellation is cooperative with **bounded
@@ -10,15 +10,15 @@ staleness**: the engine checks the token every
 :data:`DEFAULT_CHECK_EVERY` simulated accesses (one integer compare
 per access, so uncancelled runs stay bit-identical and effectively
 free), which bounds both how long a cancel takes to land and how much
-speculative work a misbehaving tenant can bill after being cut off.
+work a job does after being cut off.
 
 The same token carries **live progress**: the engine adds the number
 of simulated accesses at every check point, and any other thread (the
 serve watchdog, a ``status`` poll) may read :attr:`CancelToken.progress`
 concurrently — the engine thread is the only writer, so a plain int is
-safe under the GIL.  Progress is what the serve tier meters quotas
-against, which is why it counts *simulated accesses* (work done), not
-wall-clock or cells.
+safe under the GIL.  Progress is what the serve tier's ``job_status``
+reply reports, which is why it counts *simulated accesses* (work done),
+not wall-clock or cells.
 
 Deadlines live on the token too: a token built with ``deadline_s``
 auto-cancels itself (reason :data:`REASON_DEADLINE`) the first time

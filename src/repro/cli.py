@@ -32,7 +32,7 @@ flag drives the deterministic chaos harness in :mod:`repro.faults`.
 
 ``serve`` turns the evaluator into a long-running multi-tenant server
 (see docs/SERVING.md): clients submit job specs over a Unix or TCP
-socket, a weighted-fair scheduler multiplexes tenants onto worker
+socket, a fair-queueing scheduler multiplexes tenants onto worker
 slots, and admission control sheds load with retry-after hints when
 saturated.  ``loadgen`` is the matching measurement harness: seeded
 Poisson-arrival clients plus a BENCH-style JSON report (throughput,
@@ -89,20 +89,6 @@ def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
     return value
 
 
@@ -384,32 +370,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_weights(text: str) -> tuple[tuple[str, float], ...]:
-    """``a=2,b=0.5`` -> (("a", 2.0), ("b", 0.5)); argparse type."""
-    weights = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        name, sep, value = token.partition("=")
-        if not sep:
-            raise argparse.ArgumentTypeError(
-                f"weight {token!r} is not tenant=WEIGHT")
-        try:
-            weights.append((name.strip(), float(value)))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"weight {token!r}: {value!r} is not a number") from None
-    return tuple(weights)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import contextlib
     import signal
 
     from .errors import ReproError
-    from .faults import FaultPlan, parse_fault_spec
+    from .faults import parse_fault_spec
     from .serve import AdmissionConfig, ExperimentServer, ServeConfig
 
     try:
@@ -422,13 +389,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             admission=AdmissionConfig(
                 max_queued_total=args.max_queued,
                 max_queued_per_tenant=args.max_queued_per_tenant,
-                max_in_flight_per_tenant=args.max_in_flight,
-                quota_accesses=args.quota_accesses,
-                quota_window_s=args.quota_window_s),
-            weights=args.weights,
+                max_in_flight_per_tenant=args.max_in_flight),
             max_cells_per_job=args.max_cells,
             allow_remote_shutdown=not args.no_remote_shutdown,
-            default_deadline_s=args.deadline_s,
             cancel_on_disconnect=args.cancel_on_disconnect,
             cancel_check_every=args.cancel_check,
             faults=faults)
@@ -478,7 +441,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     import json
 
     from .errors import ReproError
-    from .faults import FaultPlan, parse_fault_spec
     from .serve.loadgen import LoadGenConfig, run_loadgen
 
     try:
@@ -490,15 +452,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     spec = {"workload": args.workload, "prefetcher": args.prefetcher,
             "kind": "trace", "degrees": degrees, "n_accesses": args.n}
     try:
-        faults = (parse_fault_spec(args.inject_faults)
-                  if args.inject_faults else FaultPlan())
         config = LoadGenConfig(
             address=args.address, tenants=args.tenants,
             jobs_per_tenant=args.jobs_per_tenant, rate_hz=args.rate,
             spec=spec, seed=args.seed if args.seed is not None else 1234,
-            faults=faults, job_timeout_s=args.job_timeout_s,
-            cancel_p=args.cancel_p, cancel_after_s=args.cancel_after_s,
-            deadline_p=args.deadline_p, deadline_s=args.deadline_s)
+            job_timeout_s=args.job_timeout_s)
         report = run_loadgen(config)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -639,29 +597,17 @@ def build_parser() -> argparse.ArgumentParser:
                          default=8, metavar="N")
     serve_p.add_argument("--max-in-flight", type=_positive_int, default=2,
                          metavar="N", help="per-tenant concurrent-job cap")
-    serve_p.add_argument("--weights", type=_parse_weights, default=(),
-                         metavar="T=W,...", help="per-tenant fair-share "
-                                                 "weights (default: equal)")
     serve_p.add_argument("--max-cells", type=_positive_int, default=16,
                          metavar="N", help="largest job (in cells) accepted")
-    serve_p.add_argument("--deadline-s", type=_positive_float, default=None,
-                         metavar="S", help="default per-job deadline applied "
-                         "to submits that carry none")
     serve_p.add_argument("--cancel-on-disconnect", action="store_true",
                          help="cancel a tenant's jobs when its submitting "
                          "connection drops (submits may override)")
     serve_p.add_argument("--cancel-check", type=_positive_int, default=4096,
                          metavar="N", help="engine checks its cancel token "
                          "every N simulated accesses")
-    serve_p.add_argument("--quota-accesses", type=_nonnegative_int, default=0,
-                         metavar="N", help="per-tenant quota in simulated "
-                         "accesses per window (0 disables)")
-    serve_p.add_argument("--quota-window-s", type=_positive_float,
-                         default=60.0, metavar="S",
-                         help="quota refill window in seconds")
     serve_p.add_argument("--inject-net-faults", default=None, metavar="SPEC",
-                         help="seeded network chaos at the server's write "
-                         "boundary, e.g. 'partition:0.5,net_tenants:t0'")
+                         help="seeded network partition at the server's "
+                         "write boundary, e.g. 'partition:0.5,net_tenants:t0'")
     serve_p.add_argument("--no-remote-shutdown", action="store_true",
                          help="ignore client shutdown requests")
     serve_p.add_argument("--trace-events", default=None, metavar="PATH",
@@ -695,19 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated degrees per job (default 1)")
     loadgen_p.add_argument("--job-timeout-s", type=_positive_float,
                            default=120.0, metavar="S")
-    loadgen_p.add_argument("--cancel-p", type=_fraction, default=0.0,
-                           metavar="P", help="fraction of accepted jobs the "
-                           "client cancels mid-stream")
-    loadgen_p.add_argument("--cancel-after-s", type=_nonnegative_float,
-                           default=0.05, metavar="S",
-                           help="delay before the cancel frame goes out")
-    loadgen_p.add_argument("--deadline-p", type=_fraction, default=0.0,
-                           metavar="P", help="fraction of jobs submitted "
-                           "with a server-side deadline")
-    loadgen_p.add_argument("--deadline-s", type=_positive_float, default=0.05,
-                           metavar="S", help="deadline attached to those jobs")
-    loadgen_p.add_argument("--inject-faults", default=None, metavar="SPEC",
-                           help=argparse.SUPPRESS)  # chaos clients; repro.faults
     loadgen_p.add_argument("--out", default=None, metavar="PATH",
                            help="also write the JSON report to PATH")
 

@@ -65,10 +65,9 @@ class JobCancelled(ReproError):
 
     Raised from a :class:`repro.cancel.CancelToken` checkpoint inside
     the simulation engine (or the runner's retry loop) when a cancel
-    frame, deadline, quota, or shutdown asked the job to stop.  Not a
-    failure: carries the structured ``reason`` and the ``progress``
-    (simulated accesses completed) at the moment work stopped, so the
-    serve tier can bill only the work actually done.
+    frame, deadline, disconnect, or shutdown asked the job to stop.  Not
+    a failure: carries the structured ``reason`` and the ``progress``
+    (simulated accesses completed) at the moment work stopped.
     """
 
     def __init__(self, message: str, reason: str = "cancelled",

@@ -52,6 +52,11 @@ class ExperimentOptions:
     def warmup(self) -> int:
         return int(self.n_accesses * self.warmup_frac)
 
+    @property
+    def per_core_accesses(self) -> int:
+        """Trace length of each core in the multicore experiments."""
+        return max(self.n_accesses // 2, 20_000)
+
 
 @dataclass
 class ExperimentResult:
@@ -98,8 +103,8 @@ class ExperimentContext:
         return self.suite.trace(workload, self.options.n_accesses)
 
     def core_traces(self, workload: str):
-        per_core = max(self.options.n_accesses // 2, 20_000)
-        return self.suite.core_traces(workload, per_core,
+        return self.suite.core_traces(workload,
+                                      self.options.per_core_accesses,
                                       n_cores=self.timing.n_cores)
 
     def miss_stream(self, workload: str) -> list[tuple[int, int]]:

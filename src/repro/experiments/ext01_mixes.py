@@ -22,12 +22,11 @@ PREFETCHERS = ("stms", "digram", "domino")
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
     ctx = ExperimentContext(options)
-    per_core = max(options.n_accesses // 2, 20_000)
     rows: list[list] = []
     speedups: dict[str, list[float]] = {p: [] for p in PREFETCHERS}
     for mix_name in STANDARD_MIXES:
-        traces = mix_traces(mix_name, per_core, suite=ctx.suite,
-                            seed=options.seed)
+        traces = mix_traces(mix_name, options.per_core_accesses,
+                            suite=ctx.suite, seed=options.seed)
         baseline = simulate_multicore(traces, ctx.timing, "baseline",
                                       warmup_frac=options.warmup_frac)
         cells: list = [mix_name, round(baseline.ipc, 3)]

@@ -32,60 +32,25 @@ Four fault modes cover the runner's failure paths:
     quarantine path on the next run.  Applied by the scheduler after
     ``ResultStore.put``, never inside workers.
 
-Three further modes target the serve tier and are applied by the
-**load generator's chaos clients** (:mod:`repro.serve.loadgen`), not by
-the executor — the misbehaviour under test is the client's, and the
-property under test is that the server contains it:
+One **network fault mode** is applied by the *server* at its write
+boundary (a plan handed to :class:`~repro.serve.server.ServeConfig`),
+modelling the transport failing underneath an otherwise well-behaved
+client:
 
-``slow_client``
-    The client stalls ``slow_client_s`` seconds before draining its
-    reply stream — exercises per-connection write isolation (a glacial
-    reader must not block other tenants' streams).
-``disconnect``
-    The client vanishes right after its job is accepted — exercises
-    mid-stream dead-connection handling (the job still completes; the
-    results are simply unread).
-``malformed``
-    The client sends a garbage frame before its submit — exercises the
-    error-reply path (the connection and the tenant's healthy jobs
-    survive).
-
-Serve rolls are keyed by ``(tenant, job index)`` instead of
-``(cell key, attempt)`` — same :func:`stable_fraction` determinism.
-
-Four **network fault modes** are applied by the *server* at its
-read/write boundary (a plan handed to
-:class:`~repro.serve.server.ServeConfig`), modelling the transport
-failing underneath an otherwise well-behaved client.  Each connection's
-fate is rolled once, per ``(tenant, connection index)``, in the fixed
-order ``reset > partition > blackhole > slow_write`` so overlapping
-probabilities stay deterministic:
-
-``reset``
-    The server closes the transport before its second write — the
-    client sees the welcome, then EOF mid-handshake-response.
 ``partition``
-    The transport delivers up to ``net_after_writes`` frames (welcome +
-    accepted by default), then the connection drops — the classic
-    network partition after a job is underway; exercises
-    cancel-on-disconnect and watchdog cleanup.
-``blackhole``
-    After ``net_after_writes`` frames, writes silently vanish: the
-    connection never errors, the client never hears back — only
-    deadlines/quotas can reap the work.
-``slow_write``
-    Every server write stalls ``slow_write_s`` first — a congested,
-    lossy-but-alive path; exercises per-connection write isolation
-    from the server side.
+    The server delivers two frames (the welcome and the job's
+    acceptance), then closes the connection — the classic network
+    partition after a job is underway; exercises cancel-on-disconnect
+    and watchdog cleanup.
 
-``net_tenants`` narrows net faults to named tenants, which is how the
-partition chaos test makes one tenant the victim while proving the
-others unaffected.
+The partition is rolled once per ``(tenant, connection index)`` — same
+:func:`stable_fraction` determinism.  ``net_tenants`` narrows it to
+named tenants, which is how the partition drill makes one tenant the
+victim while proving the others unaffected.
 
-Specs are parsed from the hidden ``--inject-faults`` CLI flag, e.g.
-``crash:0.3``, ``crash@2,hang:0.1,seed:7``, ``hang:1,hang_s:5``,
-``slow_client:0.2,disconnect:0.1,malformed:0.1``,
-``partition:1,net_tenants:t0``.
+Specs are parsed from the hidden ``run --inject-faults`` flag (e.g.
+``crash:0.3``, ``crash@2,hang:0.1,seed:7``, ``hang:1,hang_s:5``) and
+from ``serve --inject-net-faults`` (e.g. ``partition:1,net_tenants:t0``).
 """
 
 from __future__ import annotations
@@ -141,33 +106,16 @@ class FaultPlan:
     crash_attempts: int = 0
     #: How long an injected hang sleeps (choose > the cell timeout).
     hang_s: float = 5.0
-    #: Serve-tier client misbehaviour (rolled per tenant job, applied
-    #: by loadgen chaos clients — see module docstring).
-    slow_client_p: float = 0.0
-    disconnect_p: float = 0.0
-    malformed_p: float = 0.0
-    #: How long a slow client stalls before draining replies.
-    slow_client_s: float = 0.5
-    #: Network faults, rolled once per (tenant, connection index) and
-    #: applied by the server at its read/write boundary (see module
-    #: docstring for the fixed precedence order).
-    reset_p: float = 0.0
+    #: Network partition, rolled once per (tenant, connection index)
+    #: and applied by the server at its write boundary.
     partition_p: float = 0.0
-    blackhole_p: float = 0.0
-    slow_write_p: float = 0.0
-    #: Frames delivered before a partition/blackhole takes effect
-    #: (2 = welcome + accepted: the job is underway when the net dies).
-    net_after_writes: int = 2
-    #: Per-write stall of a slow_write connection.
-    slow_write_s: float = 0.05
-    #: Restrict net faults to these tenants ("" = all tenants).
+    #: Restrict the partition to these tenants (empty = all tenants).
     net_tenants: tuple[str, ...] = ()
     seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("crash_p", "hang_p", "exit_p", "corrupt_p",
-                     "slow_client_p", "disconnect_p", "malformed_p",
-                     "reset_p", "partition_p", "blackhole_p", "slow_write_p"):
+                     "partition_p"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"fault probability {name}={p!r} not in [0, 1]")
@@ -175,12 +123,6 @@ class FaultPlan:
             raise ConfigError("crash_attempts must be >= 0")
         if self.hang_s < 0:
             raise ConfigError("hang_s must be >= 0")
-        if self.slow_client_s < 0:
-            raise ConfigError("slow_client_s must be >= 0")
-        if self.net_after_writes < 1:
-            raise ConfigError("net_after_writes must be >= 1")
-        if self.slow_write_s < 0:
-            raise ConfigError("slow_write_s must be >= 0")
 
     # -- decisions ------------------------------------------------------
     @property
@@ -206,41 +148,11 @@ class FaultPlan:
         """Corrupt the stored artifact for ``key`` (attempt-independent)."""
         return self._roll("corrupt", key, 0, self.corrupt_p)
 
-    # -- serve-tier client misbehaviour (rolled per tenant job) ---------
-    @property
-    def serve_active(self) -> bool:
-        return bool(self.slow_client_p or self.disconnect_p
-                    or self.malformed_p)
-
-    def should_slow_client(self, tenant: str, job_index: int) -> bool:
-        return self._roll("slow_client", tenant, job_index, self.slow_client_p)
-
-    def should_disconnect(self, tenant: str, job_index: int) -> bool:
-        return self._roll("disconnect", tenant, job_index, self.disconnect_p)
-
-    def should_malform(self, tenant: str, job_index: int) -> bool:
-        return self._roll("malformed", tenant, job_index, self.malformed_p)
-
-    # -- server-side network faults (rolled per tenant connection) ------
-    @property
-    def net_active(self) -> bool:
-        return bool(self.reset_p or self.partition_p or self.blackhole_p
-                    or self.slow_write_p)
-
-    def net_fate(self, tenant: str, conn_index: int) -> str:
-        """This connection's network fate: one of ``"reset"``,
-        ``"partition"``, ``"blackhole"``, ``"slow_write"``, or ``""``
-        (healthy).  Rolled once, in fixed precedence order, so a plan
-        with several probabilities set stays deterministic."""
+    def should_partition(self, tenant: str, conn_index: int) -> bool:
+        """Partition this tenant connection (rolled once per link)."""
         if self.net_tenants and tenant not in self.net_tenants:
-            return ""
-        for mode, p in (("reset", self.reset_p),
-                        ("partition", self.partition_p),
-                        ("blackhole", self.blackhole_p),
-                        ("slow_write", self.slow_write_p)):
-            if self._roll(mode, tenant, conn_index, p):
-                return mode
-        return ""
+            return False
+        return self._roll("partition", tenant, conn_index, self.partition_p)
 
     # -- application ----------------------------------------------------
     def apply(self, key: str, attempt: int) -> None:
@@ -281,9 +193,7 @@ def parse_fault_spec(spec: str) -> FaultPlan:
 
     Grammar: comma-separated tokens, each one of
     ``crash:P | crash@N | hang:P | exit:P | corrupt:P | seed:N | hang_s:S
-    | slow_client:P | disconnect:P | malformed:P | slow_client_s:S
-    | reset:P | partition:P | blackhole:P | slow_write:P | slow_write_s:S
-    | net_after_writes:N | net_tenants:T+U+...``.
+    | partition:P | net_tenants:T+U+...``.
     """
     plan = FaultPlan()
     for token in spec.split(","):
@@ -309,8 +219,6 @@ def parse_fault_spec(spec: str) -> FaultPlan:
         try:
             if mode == "seed":
                 plan = replace(plan, seed=int(value))
-            elif mode == "net_after_writes":
-                plan = replace(plan, net_after_writes=int(value))
             elif mode == "net_tenants":
                 tenants = tuple(t for t in value.split("+") if t)
                 if not tenants:
@@ -318,19 +226,15 @@ def parse_fault_spec(spec: str) -> FaultPlan:
                         f"fault token {token!r}: expected tenant names "
                         "joined by '+'")
                 plan = replace(plan, net_tenants=tenants)
-            elif mode in ("hang_s", "slow_client_s", "slow_write_s"):
-                plan = replace(plan, **{mode: float(value)})
-            elif mode in ("crash", "hang", "exit", "corrupt",
-                          "slow_client", "disconnect", "malformed",
-                          "reset", "partition", "blackhole", "slow_write"):
+            elif mode == "hang_s":
+                plan = replace(plan, hang_s=float(value))
+            elif mode in ("crash", "hang", "exit", "corrupt", "partition"):
                 plan = replace(plan, **{f"{mode}_p": float(value)})
             else:
                 raise ConfigError(
                     f"unknown fault mode {mode!r}; "
-                    "known: crash, hang, exit, corrupt, slow_client, "
-                    "disconnect, malformed, reset, partition, blackhole, "
-                    "slow_write, seed, hang_s, slow_client_s, slow_write_s, "
-                    "net_after_writes, net_tenants")
+                    "known: crash, hang, exit, corrupt, partition, seed, "
+                    "hang_s, net_tenants")
         except ValueError:
             raise ConfigError(
                 f"fault token {token!r}: value {value!r} is not a number") from None

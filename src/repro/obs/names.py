@@ -77,8 +77,8 @@ EVT_JOB_SHED = "job_shed"                  # admission refused (retry-after sent
 EVT_JOB_STARTED = "job_started"            # worker slot picked the job up
 EVT_JOB_COMPLETED = "job_completed"        # all cells served back
 EVT_JOB_FAILED = "job_failed"              # a cell failed after retries
-EVT_JOB_CANCELLED = "job_cancelled"        # terminal cancel/deadline/quota/shutdown
-EVT_NET_FAULT = "net_fault_injected"       # chaos harness hit the read/write boundary
+EVT_JOB_CANCELLED = "job_cancelled"        # terminal cancel/deadline/disconnect/shutdown
+EVT_NET_FAULT = "net_fault_injected"       # chaos harness partitioned a connection
 
 # -- cli.run events ---------------------------------------------------------
 EVT_EXPERIMENT_START = "experiment_start"
@@ -129,10 +129,8 @@ MET_JOBS_COMPLETED = "jobs_completed"
 MET_JOBS_FAILED = "jobs_failed"
 MET_JOBS_CANCELLED = "jobs_cancelled"      # client cancel / disconnect / shutdown
 MET_JOBS_DEADLINE_EXCEEDED = "jobs_deadline_exceeded"
-MET_JOBS_QUOTA_EXHAUSTED = "jobs_quota_exhausted"  # sheds + mid-run quota cancels
 MET_REQUESTS_MALFORMED = "requests_malformed"
-MET_NET_FAULTS = "net_faults_injected"     # chaos write/read boundary hits
-MET_ACCESSES_CHARGED = "accesses_charged"  # simulated accesses billed to quotas
+MET_NET_FAULTS = "net_faults_injected"     # chaos partitions at the write boundary
 MET_QUEUE_DEPTH = "queue_depth"            # histogram, sampled per admission decision
 MET_JOB_WAIT_S = "job_wait_s"              # histogram, admission -> worker pickup
 MET_JOB_SERVICE_S = "job_service_s"        # histogram, worker pickup -> served
@@ -141,7 +139,7 @@ MET_CANCEL_LATENCY_S = "cancel_latency_s"  # histogram, cancel request -> work s
 # -- serve live stats plane (gauges synthesised per stats/metrics frame) ----
 MET_QUEUE_DEPTH_NOW = "queue_depth_now"    # gauge, point-in-time queued jobs
 MET_IN_FLIGHT_NOW = "in_flight_now"        # gauge, point-in-time running jobs
-MET_TENANT_VTIME = "vtime"                 # gauge, per-tenant WFQ virtual time
+MET_TENANT_VTIME = "vtime"                 # gauge, per-tenant fair-queueing virtual time
 MET_UPTIME_S = "uptime_s"                  # gauge, seconds since server start
 
 # -- spans (causal timing tree; validated by OBS002) ------------------------

@@ -183,8 +183,8 @@ def _execute_opportunity(cell: Cell, options: Any) -> dict[str, Any]:
 
 def _execute_multicore(cell: Cell, options: Any) -> dict[str, Any]:
     config = cell_config(cell)
-    per_core = max(options.n_accesses // 2, 20_000)
-    traces = _suite(options.seed).core_traces(cell.workload, per_core,
+    traces = _suite(options.seed).core_traces(cell.workload,
+                                              options.per_core_accesses,
                                               n_cores=config.n_cores)
     result = simulate_multicore(traces, config, cell.prefetcher,
                                 warmup_frac=options.warmup_frac,

@@ -55,6 +55,7 @@ import contextlib
 import json
 import os
 import shutil
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -299,9 +300,13 @@ class ResultStore:
         path.parent.mkdir(parents=True, exist_ok=True)
         document = {"schema": SCHEMA_VERSION, "code_version": CODE_VERSION,
                     "key": key, "kind": kind, "payload": payload}
+        # Temp names are unique per writer thread, not just per process:
+        # serve slots run cells in threads of one process, and a shared
+        # name would let one thread's rename take the other's file.
+        writer = f"{os.getpid()}.{threading.get_ident()}"
         if sidecar is not None:
             side = self.sidecar_path_for(key)
-            stmp = side.parent / f".{key}.{os.getpid()}.bin.tmp"
+            stmp = side.parent / f".{key}.{writer}.bin.tmp"
             try:
                 with open(stmp, "wb") as bfh:
                     bfh.write(sidecar)
@@ -312,7 +317,7 @@ class ResultStore:
                 if stmp.exists():
                     stmp.unlink(missing_ok=True)
             document["payload_path"] = side.name
-        tmp = path.parent / f".{key}.{os.getpid()}.tmp"
+        tmp = path.parent / f".{key}.{writer}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(document, fh, separators=(",", ":"))

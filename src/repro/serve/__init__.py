@@ -12,10 +12,10 @@ incrementally over the wire:
   :class:`~repro.runner.Cell` objects the batch path executes, so a
   served result is **bit-identical** to ``domino-repro run`` output and
   warms the same artifact store;
-* :mod:`repro.serve.scheduler` — weighted fair queueing across tenants
-  with admission control: bounded queues, per-tenant in-flight caps,
-  and load shedding with deterministic retry-after hints
-  (:mod:`repro.backoff`) when saturated;
+* :mod:`repro.serve.scheduler` — fair queueing across tenants over
+  served work, with admission control: bounded queues, per-tenant
+  in-flight caps, and load shedding with deterministic retry-after
+  hints (:mod:`repro.backoff`) when saturated;
 * :mod:`repro.serve.server` — the asyncio front-end: TCP or Unix
   socket listener, per-connection protocol handling, worker slots that
   execute admitted jobs through :func:`repro.runner.run_cells`, and
@@ -31,9 +31,8 @@ incrementally over the wire:
 
 Jobs have a full lifecycle: clients can cancel them mid-run
 (``cancel`` frames), attach per-job deadlines, poll progress
-(``job_status``), and opt into cancel-on-disconnect; tenants can be
-metered by simulated-access quotas; and the server's read/write
-boundary can be wrapped in seeded network chaos
+(``job_status``), and opt into cancel-on-disconnect; and the server's
+write boundary can be wrapped in a seeded network partition
 (:mod:`repro.faults`).  See ``docs/SERVING.md`` for the wire protocol,
 the job-lifecycle state machine, and the fairness and admission
 semantics, and ``docs/ROBUSTNESS.md`` for the partition-chaos drills.

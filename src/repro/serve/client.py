@@ -1,16 +1,16 @@
 """Asyncio client for the experiment server.
 
-A deliberately thin wrapper over the JSONL protocol, shared by the CLI
-(``domino-repro serve --submit`` style usage), the test suite, and the
-load generator.  One client drives one connection and one job at a
+A deliberately thin wrapper over the JSONL protocol, shared by the
+load generator, the serve benchmark and smoke script, and the test
+suite.  One client drives one connection and one job at a
 time, which keeps the reply stream trivially ordered: ``submit`` is
 answered by ``accepted`` or ``shed``, an accepted job streams ``cell``
 frames and finishes with ``done``.
 
 The raw ``send``/``recv`` frame methods are public on purpose — the
-chaos side of the load generator uses them to misbehave (malformed
-frames, mid-stream disconnects, glacial reads) in ways the high-level
-helpers would never produce.
+chaos tests use them to misbehave (malformed frames, mid-stream
+disconnects, glacial reads) in ways the high-level helpers would never
+produce.
 """
 
 from __future__ import annotations

@@ -2,18 +2,13 @@
 
 Each simulated tenant is an open-loop Poisson source: arrival times are
 drawn from a per-tenant ``random.Random`` seeded from ``(seed,
-tenant)``, so the *offered* load — who submits what, when, and which
-chaos behaviours fire — is bit-reproducible across runs.  What the
-server *does* with that load (admission decisions, fairness, latency)
-is the measurement.
+tenant)``, so the *offered* load — who submits what, and when — is
+bit-reproducible across runs.  What the server *does* with that load
+(admission decisions, fairness, latency) is the measurement.
 
 Every arrival opens its own connection, submits one job, and drains the
 reply stream; jobs from the same tenant overlap when arrivals outpace
-service, which is exactly how the admission bounds get exercised.  A
-:class:`~repro.faults.FaultPlan` with serve-tier probabilities turns a
-fraction of arrivals into misbehaving clients (malformed frame first,
-vanish after acceptance, stall before draining) — the chaos tests use
-this to prove one bad tenant cannot stall or starve the rest.
+service, which is exactly how the admission bounds get exercised.
 
 The output is a BENCH-style JSON report: throughput, latency
 percentiles, shed rate, and the Jain fairness index over per-tenant
@@ -24,16 +19,13 @@ serve-smoke job, which gate on it.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import ProtocolError
-from ..faults import FaultPlan, stable_fraction
-from . import protocol
-from .client import JobResult, ServeClient
+from .client import ServeClient
 
 #: Default job: the smallest spec admission allows — service time is
 #: dominated by a real (tiny) simulation, not by protocol overhead.
@@ -76,102 +68,45 @@ class LoadGenConfig:
     #: Per-tenant Poisson arrival rate (jobs/second).
     rate_hz: float = 2.0
     spec: dict[str, Any] = field(default_factory=lambda: dict(DEFAULT_SPEC))
-    #: Give every job a distinct spec seed so service time is real work,
-    #: not a cache hit on the first job's artifact.
-    vary_seed: bool = True
     seed: int = 1234
-    tenant_prefix: str = "t"
-    faults: FaultPlan = field(default_factory=FaultPlan)
     #: Client-side guard: a job stuck longer than this counts as error.
     job_timeout_s: float = 120.0
-    #: Fraction of accepted jobs the client cancels mid-stream
-    #: (seed-deterministic pick, like the fault rolls).
-    cancel_p: float = 0.0
-    #: How long a cancelling client lets the job run before the cancel
-    #: frame goes out.
-    cancel_after_s: float = 0.05
-    #: Fraction of jobs submitted with a server-side deadline attached.
-    deadline_p: float = 0.0
-    deadline_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.tenants < 1 or self.jobs_per_tenant < 1:
             raise ProtocolError("loadgen needs >= 1 tenant and >= 1 job each")
         if self.rate_hz <= 0:
             raise ProtocolError("loadgen rate_hz must be > 0")
-        for name in ("cancel_p", "deadline_p"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ProtocolError(f"loadgen {name} must be in [0, 1]")
-        if self.cancel_after_s < 0 or self.deadline_s <= 0:
-            raise ProtocolError(
-                "loadgen cancel_after_s must be >= 0 and deadline_s > 0")
-
-    def should_cancel(self, tenant: str, job_index: int) -> bool:
-        return stable_fraction("loadgen-cancel", self.seed, tenant,
-                               job_index) < self.cancel_p
-
-    def should_deadline(self, tenant: str, job_index: int) -> bool:
-        return stable_fraction("loadgen-deadline", self.seed, tenant,
-                               job_index) < self.deadline_p
 
     def tenant_names(self) -> list[str]:
-        return [f"{self.tenant_prefix}{i}" for i in range(self.tenants)]
+        return [f"t{i}" for i in range(self.tenants)]
 
     def job_spec(self, tenant_index: int, job_index: int) -> dict[str, Any]:
+        """Every job gets a distinct spec seed, so its service time is
+        real work, not a cache hit on the first job's artifact."""
         spec = dict(self.spec)
-        if self.vary_seed:
-            base = int(spec.get("seed", 1234))
-            spec["seed"] = (base + tenant_index * self.jobs_per_tenant
-                            + job_index) % 2**32
+        base = int(spec.get("seed", 1234))
+        spec["seed"] = (base + tenant_index * self.jobs_per_tenant
+                        + job_index) % 2**32
         return spec
 
 
 async def _one_job(config: LoadGenConfig, tenant: str, tenant_index: int,
                    job_index: int, records: list[dict[str, Any]]) -> None:
-    """One arrival: connect, (mis)behave, submit, drain, record."""
-    faults = config.faults
+    """One arrival: connect, submit, drain, record."""
     record: dict[str, Any] = {"tenant": tenant, "index": job_index,
                               "status": "error", "latency_s": 0.0,
                               "retry_after_s": 0.0, "reason": ""}
     records.append(record)
     started = time.perf_counter()
-    request_id = f"{tenant}-{job_index}"
     try:
         client = await ServeClient.connect(config.address, tenant)
     except (ProtocolError, OSError) as exc:
         record["reason"] = f"connect: {exc}"
         return
     try:
-        if faults.should_malform(tenant, job_index):
-            record["malformed_sent"] = True
-            await client.send_raw(b"{this is not a frame\n")
-            reply = await client.recv()  # the server's error frame
-            if reply["type"] != protocol.ERROR:
-                record["reason"] = "no error reply to malformed frame"
-                return
-        if faults.should_disconnect(tenant, job_index):
-            await client.submit(config.job_spec(tenant_index, job_index),
-                                request_id)
-            reply = await client.recv()
-            record["status"] = ("abandoned"
-                                if reply["type"] == protocol.ACCEPTED
-                                else "shed")
-            await client.close(polite=False)
-            return
-        deadline_s = (config.deadline_s
-                      if config.should_deadline(tenant, job_index) else None)
-        if deadline_s is not None:
-            record["deadline_sent"] = True
-        await client.submit(config.job_spec(tenant_index, job_index),
-                            request_id, deadline_s=deadline_s)
-        if faults.should_slow_client(tenant, job_index):
-            record["slow"] = True
-            await asyncio.sleep(faults.slow_client_s)
-        if config.should_cancel(tenant, job_index):
-            result = await _collect_with_cancel(client, config, record,
-                                                request_id)
-        else:
-            result = await client.collect(request_id)
+        result = await client.run_job(config.job_spec(tenant_index, job_index),
+                                      f"{tenant}-{job_index}")
         record["status"] = result.status
         record["reason"] = result.reason
         record["retry_after_s"] = result.retry_after_s
@@ -180,38 +115,6 @@ async def _one_job(config: LoadGenConfig, tenant: str, tenant_index: int,
         record["reason"] = str(exc)
     finally:
         await client.close()
-
-
-async def _collect_with_cancel(client: ServeClient, config: LoadGenConfig,
-                               record: dict[str, Any],
-                               request_id: str) -> JobResult:
-    """Drain an accepted job while a sibling task cancels it mid-stream."""
-    reply = await client.recv()
-    kind = reply["type"]
-    if kind == protocol.SHED:
-        return JobResult(request_id=request_id, accepted=False, status="shed",
-                         reason=str(reply.get("reason", "")),
-                         retry_after_s=float(reply.get("retry_after_s", 0.0)))
-    if kind != protocol.ACCEPTED:
-        return JobResult(request_id=request_id, accepted=False, status="error",
-                         reason=str(reply.get("error",
-                                              f"unexpected reply {kind!r}")))
-    record["cancel_sent"] = True
-    job_id = str(reply.get("job", ""))
-
-    async def _cancel_later() -> None:
-        await asyncio.sleep(config.cancel_after_s)
-        with contextlib.suppress(ProtocolError, OSError):
-            await client.cancel(job_id)
-
-    canceller = asyncio.create_task(_cancel_later(),
-                                    name=f"loadgen-cancel-{job_id}")
-    try:
-        return await client.stream(request_id, job_id)
-    finally:
-        canceller.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await canceller
 
 
 async def _tenant_source(config: LoadGenConfig, tenant_index: int,
@@ -238,10 +141,10 @@ async def run_loadgen_async(config: LoadGenConfig) -> dict[str, Any]:
         _tenant_source(config, i, records, jobs),
         name=f"loadgen-source-{i}") for i in range(config.tenants)]
     await asyncio.gather(*sources)
-    results = await asyncio.gather(*jobs, return_exceptions=True)
-    wall_s = time.perf_counter() - started
-    timeouts = sum(1 for r in results if isinstance(r, TimeoutError))
-    return _report(config, records, wall_s, timeouts)
+    # A timed-out job raises TimeoutError here; its record (appended
+    # before its first await) still says "error", which counts it once.
+    await asyncio.gather(*jobs, return_exceptions=True)
+    return _report(config, records, time.perf_counter() - started)
 
 
 def run_loadgen(config: LoadGenConfig) -> dict[str, Any]:
@@ -250,7 +153,7 @@ def run_loadgen(config: LoadGenConfig) -> dict[str, Any]:
 
 
 def _report(config: LoadGenConfig, records: list[dict[str, Any]],
-            wall_s: float, timeouts: int) -> dict[str, Any]:
+            wall_s: float) -> dict[str, Any]:
     by_status: dict[str, int] = {}
     for record in records:
         by_status[record["status"]] = by_status.get(record["status"], 0) + 1
@@ -278,17 +181,13 @@ def _report(config: LoadGenConfig, records: list[dict[str, Any]],
         "jobs_per_tenant": config.jobs_per_tenant,
         "rate_hz": config.rate_hz,
         "seed": config.seed,
-        "faults_active": config.faults.serve_active,
         "wall_s": round(wall_s, 3),
         "submitted": submitted,
         "by_status": dict(sorted(by_status.items())),
         "completed": len(completed),
         "shed": shed,
         "failed": by_status.get("failed", 0),
-        "cancelled": by_status.get(protocol.STATUS_CANCELLED, 0),
-        "deadline_exceeded": by_status.get(protocol.STATUS_DEADLINE, 0),
-        "quota_exhausted": by_status.get(protocol.STATUS_QUOTA, 0),
-        "errors": by_status.get("error", 0) + timeouts,
+        "errors": by_status.get("error", 0),
         "throughput_jobs_per_s": (round(len(completed) / wall_s, 4)
                                   if wall_s > 0 else 0.0),
         "shed_rate": round(shed / submitted, 4) if submitted else 0.0,

@@ -80,19 +80,18 @@ CLIENT_TYPES = frozenset({HELLO, SUBMIT, CANCEL, JOB_STATUS, STATUS,
                           METRICS, BYE, SHUTDOWN})
 
 # -- job lifecycle ----------------------------------------------------------
-# queued -> running -> {ok, failed, cancelled, deadline_exceeded,
-# quota_exhausted}; see docs/SERVING.md for the full state machine.
+# queued -> running -> {ok, failed, cancelled, deadline_exceeded}; see
+# docs/SERVING.md for the full state machine.
 STATE_QUEUED = "queued"
 STATE_RUNNING = "running"
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
 STATUS_CANCELLED = "cancelled"
 STATUS_DEADLINE = "deadline_exceeded"
-STATUS_QUOTA = "quota_exhausted"
 
 #: Every status a ``done`` frame may carry.
 TERMINAL_STATUSES = frozenset({STATUS_OK, STATUS_FAILED, STATUS_CANCELLED,
-                               STATUS_DEADLINE, STATUS_QUOTA})
+                               STATUS_DEADLINE})
 
 #: Structured reasons a cancellation can carry (``done.reason`` /
 #: ``cancelling.reason``).
@@ -283,17 +282,6 @@ class JobSpec:
             "config_name": self.config_name,
             "overrides": dict(self.overrides),
         }
-
-    @property
-    def estimated_accesses(self) -> int:
-        """Simulated accesses this job will meter if run to completion.
-
-        The admission-time quota reservation: one engine pass of
-        ``n_accesses`` per simulating cell.  An upper-bound heuristic,
-        reconciled against the token's actual progress at finish.
-        """
-        n_cells = len(self.degrees) if self.kind == "trace" else 1
-        return n_cells * self.n_accesses
 
     # -- lowering -------------------------------------------------------
     def compile(self) -> tuple[list[Cell], ExperimentOptions]:

@@ -1,4 +1,4 @@
-"""Weighted fair queueing and admission control for the serve tier.
+"""Fair queueing and admission control for the serve tier.
 
 The scheduler is deliberately **pure**: no clock reads, no asyncio, no
 telemetry — every decision is a function of the calls it has seen
@@ -6,15 +6,15 @@ telemetry — every decision is a function of the calls it has seen
 The server wraps it with wall-clock timestamps and obs emission; tests
 drive it with synthetic service times and assert exact schedules.
 
-Fairness is start-time weighted fair queueing over *served work*: each
-tenant carries a virtual time — cumulative service seconds divided by
-its weight — and the next free worker slot always goes to the eligible
-backlogged tenant with the lowest virtual time (ties break on the
-tenant name, so schedules are deterministic).  A global virtual clock —
-the largest virtual time ever dispatched — advances monotonically with
-served work; a tenant entering (or returning from idle) has its virtual
-time clamped up to that clock, so neither sleeping nor arriving late
-banks credit that could later starve active tenants.
+Fairness is start-time fair queueing over *served work*: each tenant
+carries a virtual time — its cumulative service seconds — and the next
+free worker slot always goes to the eligible backlogged tenant with the
+lowest virtual time (ties break on the tenant name, so schedules are
+deterministic).  A global virtual clock — the largest virtual time ever
+dispatched — advances monotonically with served work; a tenant
+entering (or returning from idle) has its virtual time clamped up to
+that clock, so neither sleeping nor arriving late banks credit that
+could later starve active tenants.
 
 Admission control is three bounds, checked in order: a global queue
 cap (sheds with ``server_saturated``), a per-tenant queue cap
@@ -26,22 +26,6 @@ backoff curve (:mod:`repro.backoff`), growing with the tenant's
 consecutive-shed streak so a client hammering a saturated server is
 pushed back harder each time.
 
-On top of the slot bounds sits an optional per-tenant **quota metered
-in simulated accesses** — the unit of actual engine work, which queue
-slots cannot see (one 2M-access job outweighs a hundred 1k-access
-jobs).  It is a token bucket: capacity ``quota_accesses``, refilled
-continuously over ``quota_window_s``.  Admission *reserves*
-``min(spec.estimated_accesses, capacity)`` against the bucket and
-sheds with ``quota_exhausted`` (retry hint = honest time-to-refill)
-when the bucket cannot cover it; while a job runs the server's
-watchdog calls :meth:`FairScheduler.overdrawn` with the live progress
-counter so a job whose estimate lied is cancelled mid-run; at
-:meth:`FairScheduler.finish` the reservation is released and the
-tenant is charged the accesses **actually simulated** — a cancelled
-job bills only the work it really did.  The balance may run negative
-(bounded at one capacity) to absorb estimate error; it refills before
-the tenant's next admission.
-
 Admitted jobs can still leave the queue without running — a client
 cancel or a server drain calls :meth:`FairScheduler.cancel_queued` —
 and running jobs can finish with ``cancelled=True``; neither charges
@@ -52,7 +36,6 @@ work done, not work promised.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -68,27 +51,18 @@ SHED_SALT = "serve.shed"
 #: Shed reasons (wire-visible).
 REASON_SERVER_SATURATED = "server_saturated"
 REASON_TENANT_QUEUE_FULL = "tenant_queue_full"
-REASON_QUOTA_EXHAUSTED = "quota_exhausted"
 REASON_STOPPING = "stopping"
 
 
 @dataclass(frozen=True)
 class AdmissionConfig:
-    """Bounds and shed-hint shape for one server instance.
-
-    ``quota_accesses`` turns on access metering: each tenant gets a
-    token bucket of that many simulated accesses, refilled continuously
-    over ``quota_window_s`` seconds.  Zero (the default) disables the
-    quota and preserves slot-only admission.
-    """
+    """Bounds and shed-hint shape for one server instance."""
 
     max_queued_total: int = 64
     max_queued_per_tenant: int = 8
     max_in_flight_per_tenant: int = 2
     shed_base_s: float = 0.25
     shed_max_s: float = 8.0
-    quota_accesses: int = 0
-    quota_window_s: float = 60.0
 
     def __post_init__(self) -> None:
         for name in ("max_queued_total", "max_queued_per_tenant",
@@ -97,10 +71,6 @@ class AdmissionConfig:
                 raise ServeError(f"{name} must be >= 1")
         if self.shed_base_s < 0 or self.shed_max_s < 0:
             raise ServeError("shed backoff delays must be >= 0")
-        if self.quota_accesses < 0:
-            raise ServeError("quota_accesses must be >= 0 (0 disables)")
-        if self.quota_window_s <= 0:
-            raise ServeError("quota_window_s must be positive")
 
 
 @dataclass
@@ -119,9 +89,6 @@ class Job:
     #: Lifecycle policy, parsed from the submit frame.
     deadline_s: float | None = None
     cancel_on_disconnect: bool = False
-    #: Simulated accesses reserved against the tenant's quota bucket
-    #: at admission (0 when the quota is disabled).
-    reserved_accesses: int = 0
 
 
 @dataclass(frozen=True)
@@ -140,10 +107,9 @@ class TenantState:
     """Everything the scheduler knows about one tenant."""
 
     name: str
-    weight: float = 1.0
     queue: deque[Job] = field(default_factory=deque)
     in_flight: int = 0
-    #: Served seconds / weight — the WFQ virtual clock.
+    #: Served seconds — the fair-queueing virtual clock.
     vtime: float = 0.0
     shed_streak: int = 0
     admitted: int = 0
@@ -153,43 +119,26 @@ class TenantState:
     cancelled: int = 0
     served_s: float = 0.0
     waited_s: float = 0.0
-    #: Token-bucket state (meaningful only when the quota is enabled).
-    quota_balance: float = 0.0
-    quota_updated_at: float = 0.0
-    reserved_accesses: int = 0
-    accesses_charged: int = 0
 
     @property
     def busy(self) -> bool:
         return bool(self.queue) or self.in_flight > 0
 
     def to_dict(self) -> dict[str, Any]:
-        return {"weight": self.weight, "queued": len(self.queue),
+        return {"queued": len(self.queue),
                 "in_flight": self.in_flight, "vtime": round(self.vtime, 6),
                 "admitted": self.admitted, "shed": self.shed,
                 "completed": self.completed, "failed": self.failed,
                 "cancelled": self.cancelled,
                 "served_s": round(self.served_s, 6),
-                "waited_s": round(self.waited_s, 6),
-                "quota_balance": round(self.quota_balance, 2),
-                "reserved_accesses": self.reserved_accesses,
-                "accesses_charged": self.accesses_charged}
+                "waited_s": round(self.waited_s, 6)}
 
 
 class FairScheduler:
-    """Pure WFQ + admission-control core (see module docstring)."""
+    """Pure fair-queueing + admission-control core (see module docstring)."""
 
-    def __init__(self, admission: AdmissionConfig | None = None,
-                 weights: Mapping[str, float] | None = None,
-                 default_weight: float = 1.0) -> None:
-        if default_weight <= 0:
-            raise ServeError("default_weight must be > 0")
+    def __init__(self, admission: AdmissionConfig | None = None) -> None:
         self.admission = admission or AdmissionConfig()
-        self._weights = dict(weights or {})
-        for tenant, weight in self._weights.items():
-            if weight <= 0:
-                raise ServeError(f"tenant {tenant!r} weight must be > 0")
-        self._default_weight = default_weight
         self._tenants: dict[str, TenantState] = {}
         #: Largest virtual time ever dispatched (monotone): the floor
         #: for tenants entering or returning from idle.
@@ -200,45 +149,8 @@ class FairScheduler:
     def tenant(self, name: str) -> TenantState:
         state = self._tenants.get(name)
         if state is None:
-            weight = self._weights.get(name, self._default_weight)
-            state = self._tenants[name] = TenantState(
-                name=name, weight=weight,
-                quota_balance=float(self.admission.quota_accesses))
+            state = self._tenants[name] = TenantState(name=name)
         return state
-
-    # -- quota ----------------------------------------------------------
-    @property
-    def quota_enabled(self) -> bool:
-        return self.admission.quota_accesses > 0
-
-    def _refill(self, tenant: TenantState, now: float) -> None:
-        """Continuous token-bucket refill up to capacity."""
-        capacity = self.admission.quota_accesses
-        elapsed = now - tenant.quota_updated_at
-        if elapsed > 0:
-            rate = capacity / self.admission.quota_window_s
-            tenant.quota_balance = min(float(capacity),
-                                       tenant.quota_balance + rate * elapsed)
-        tenant.quota_updated_at = max(tenant.quota_updated_at, now)
-
-    def _quota_shed_after_s(self, tenant: TenantState, needed: float) -> float:
-        """Honest retry hint: seconds of refill until ``needed`` fits."""
-        rate = self.admission.quota_accesses / self.admission.quota_window_s
-        deficit = needed - (tenant.quota_balance - tenant.reserved_accesses)
-        return min(max(deficit, 0.0) / rate, self.admission.quota_window_s)
-
-    def overdrawn(self, job: Job, accesses_done: int, now: float = 0.0) -> bool:
-        """Live metering: has ``job`` simulated more than its tenant can
-        pay for?  True means the server should cancel it with
-        ``quota_exhausted``.  Overrun beyond the admission reservation
-        is tolerated only while the bucket has uncommitted balance."""
-        if not self.quota_enabled:
-            return False
-        tenant = self.tenant(job.tenant)
-        self._refill(tenant, now)
-        overrun = accesses_done - job.reserved_accesses
-        return overrun > 0 and overrun > (
-            tenant.quota_balance - tenant.reserved_accesses)
 
     @property
     def queue_depth(self) -> int:
@@ -253,36 +165,16 @@ class FairScheduler:
         return min(busy) if busy else 0.0
 
     # -- admission ------------------------------------------------------
-    def submit(self, job: Job, now: float = 0.0) -> Admission:
-        """Admit ``job`` to its tenant's queue, or shed with a hint.
-
-        ``now`` (caller's clock, any monotone origin) drives the quota
-        refill; irrelevant when the quota is disabled.
-        """
+    def submit(self, job: Job) -> Admission:
+        """Admit ``job`` to its tenant's queue, or shed with a hint."""
         tenant = self.tenant(job.tenant)
         reason = ""
-        reservation = 0
-        if self.quota_enabled:
-            self._refill(tenant, now)
-            reservation = min(job.spec.estimated_accesses,
-                              self.admission.quota_accesses)
         if self.draining:
             reason = REASON_STOPPING
         elif self.queue_depth >= self.admission.max_queued_total:
             reason = REASON_SERVER_SATURATED
         elif len(tenant.queue) >= self.admission.max_queued_per_tenant:
             reason = REASON_TENANT_QUEUE_FULL
-        elif (self.quota_enabled and
-              tenant.quota_balance - tenant.reserved_accesses < reservation):
-            tenant.shed += 1
-            # No streak escalation: a quota shed is the bucket doing its
-            # job, not the server melting down, and the honest refill
-            # time beats an exponential guess.
-            return Admission(accepted=False, reason=REASON_QUOTA_EXHAUSTED,
-                             retry_after_s=self._quota_shed_after_s(
-                                 tenant, reservation),
-                             queue_depth=self.queue_depth,
-                             tenant_depth=len(tenant.queue))
         if reason:
             tenant.shed += 1
             retry_after = backoff_delay(
@@ -294,8 +186,6 @@ class FairScheduler:
                              retry_after_s=retry_after,
                              queue_depth=self.queue_depth,
                              tenant_depth=len(tenant.queue))
-        job.reserved_accesses = reservation
-        tenant.reserved_accesses += reservation
         if not tenant.busy:
             # Entering or back from idle: clamp up to the virtual clock
             # (and the busy minimum, which can run slightly ahead of it
@@ -320,7 +210,8 @@ class FairScheduler:
         return bool(self.eligible_tenants())
 
     def next_job(self) -> Job | None:
-        """Pop the next job under WFQ order, or None when none eligible."""
+        """Pop the next job in fair-queueing order, or None when none
+        is eligible."""
         eligible = self.eligible_tenants()
         if not eligible:
             return None
@@ -333,31 +224,25 @@ class FairScheduler:
     def cancel_queued(self, job_id: str) -> Job | None:
         """Remove a not-yet-started job from its tenant's queue.
 
-        Returns the job (reservation released, counted ``cancelled``)
-        or None when no queue holds ``job_id`` — it already started, or
-        never existed; the caller disambiguates via its own registry.
+        Returns the job (counted ``cancelled``) or None when no queue
+        holds ``job_id`` — it already started, or never existed; the
+        caller disambiguates via its own registry.
         """
         for tenant in self._tenants.values():
             for job in tenant.queue:
                 if job.job_id == job_id:
                     tenant.queue.remove(job)
-                    tenant.reserved_accesses -= job.reserved_accesses
                     tenant.cancelled += 1
                     return job
         return None
 
     def finish(self, job: Job, service_s: float, wait_s: float = 0.0,
-               ok: bool = True, cancelled: bool = False,
-               accesses_done: int = 0, now: float = 0.0) -> None:
-        """Charge a finished job's service time — and, with the quota
-        on, the simulated accesses it *actually* performed — to its
-        tenant, releasing the admission reservation.
+               ok: bool = True, cancelled: bool = False) -> None:
+        """Charge a finished job's service time to its tenant.
 
-        ``cancelled`` marks jobs that ended via cancel/deadline/quota/
-        shutdown: they charge only work done and count in neither
-        ``completed`` nor ``failed``.  The balance may go negative
-        (clamped at minus one capacity) when actual work overran the
-        reservation; it refills before the tenant admits again.
+        ``cancelled`` marks jobs that ended via cancel/deadline/
+        disconnect/shutdown: they charge only the service rendered and
+        count in neither ``completed`` nor ``failed``.
         """
         tenant = self.tenant(job.tenant)
         if tenant.in_flight < 1:
@@ -365,16 +250,9 @@ class FairScheduler:
                 f"finish({job.job_id}) for tenant {job.tenant!r} "
                 "with nothing in flight")
         tenant.in_flight -= 1
-        tenant.vtime += max(service_s, 0.0) / tenant.weight
+        tenant.vtime += max(service_s, 0.0)
         tenant.served_s += max(service_s, 0.0)
         tenant.waited_s += max(wait_s, 0.0)
-        if self.quota_enabled:
-            capacity = self.admission.quota_accesses
-            self._refill(tenant, now)
-            tenant.reserved_accesses -= job.reserved_accesses
-            tenant.quota_balance = max(tenant.quota_balance - accesses_done,
-                                       -float(capacity))
-            tenant.accesses_charged += accesses_done
         if cancelled:
             tenant.cancelled += 1
         elif ok:
@@ -402,6 +280,5 @@ class FairScheduler:
             "completed": sum(t.completed for t in self._tenants.values()),
             "failed": sum(t.failed for t in self._tenants.values()),
             "cancelled": sum(t.cancelled for t in self._tenants.values()),
-            "quota_accesses": self.admission.quota_accesses,
             "tenants": tenants,
         }

@@ -9,34 +9,30 @@ One process, one event loop, three kinds of task:
   decisions are made inline (the scheduler is pure and the event loop
   is single-threaded, so no locking); accepted jobs are queued and a
   condition variable wakes the workers;
-* **worker tasks** (``slots`` of them) pull jobs in weighted-fair order
+* **worker tasks** (``slots`` of them) pull jobs in fair-queueing order
   and execute each cell through :func:`repro.runner.run_cells` inside
   ``asyncio.to_thread``, so the event loop keeps serving other tenants
   while a simulation runs.  Results stream back per cell as they
   complete.
 
 Every job carries a :class:`~repro.cancel.CancelToken` from pickup to
-terminal frame, and a per-job **watchdog task** polls the things only
-the event loop can see: the admitting connection's liveness (for the
-opt-in ``cancel_on_disconnect`` policy) and the tenant's access quota
-against the token's live progress counter.  Deadlines ride on the
+terminal frame, and a per-job **watchdog task** polls the one thing
+only the event loop can see: the admitting connection's liveness (for
+the opt-in ``cancel_on_disconnect`` policy).  Deadlines ride on the
 token itself — every engine checkpoint doubles as a deadline check —
-so a ``cancel`` frame, a ``deadline_s``, an exhausted quota, or a
+so a ``cancel`` frame, a ``deadline_s``, a dropped connection, or a
 :meth:`ExperimentServer.shutdown_now` stops the *simulation*, not just
 the asyncio wrapper, within ``cancel_check_every`` simulated accesses.
 The job then ends with a structured terminal ``done`` frame
-(``cancelled`` / ``deadline_exceeded`` / ``quota_exhausted``, with a
-``reason``), its tenant billed only for the accesses actually
-simulated.  A client that disconnected mid-job without the policy
-simply stops receiving — the job still runs to completion and its
-artifacts stay in the store.
+(``cancelled`` / ``deadline_exceeded``, with a ``reason``).  A client
+that disconnected mid-job without the policy simply stops receiving —
+the job still runs to completion and its artifacts stay in the store.
 
-For chaos testing, a :class:`~repro.faults.FaultPlan` with network
-modes (``reset`` / ``partition`` / ``blackhole`` / ``slow_write``)
-makes the server's own write boundary fail deterministically per
-``(tenant, connection index)`` — the fixture for proving that a
-partitioned tenant's jobs are reaped while other tenants' results
-stay bit-identical.
+For chaos testing, a :class:`~repro.faults.FaultPlan` with a
+``partition`` probability makes the server's own write boundary fail
+deterministically per ``(tenant, connection index)`` — the fixture for
+proving that a partitioned tenant's jobs are reaped while other
+tenants' results stay bit-identical.
 
 Execution reuses the runner's whole fault-tolerance stack: the per-job
 :class:`~repro.runner.ExecutionPolicy` carries the server's retry
@@ -87,6 +83,13 @@ QUEUE_DEPTH_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0,
 #: client with a bug; it gets disconnected.
 MAX_MALFORMED_PER_CONN = 32
 
+#: Frames a partitioned connection delivers before it drops: the
+#: welcome and the accepted frame, so the job is underway.
+NET_AFTER_WRITES = 2
+
+#: How often a job's watchdog checks its admitting connection.
+WATCHDOG_POLL_S = 0.05
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -105,43 +108,29 @@ class ServeConfig:
     timeout_s: float | None = None
     use_cache: bool = True
     cache_dir: str | None = None
-    #: ``ExecutionPolicy.jobs`` of each job's run (1 = in-thread serial;
-    #: >1 spins a multiprocessing pool per multi-cell job).
-    jobs_per_run: int = 1
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    weights: tuple[tuple[str, float], ...] = ()
     max_cells_per_job: int = 16
     #: Whether a client ``shutdown`` message may drain-stop the server.
     allow_remote_shutdown: bool = True
-    #: Server-wide deadline applied to submits that carry none
-    #: (None = unlimited).  Measured from worker pickup, not admission.
-    default_deadline_s: float | None = None
     #: Default cancel-on-disconnect policy for submits that carry none.
     cancel_on_disconnect: bool = False
     #: Engine cancellation staleness bound, in simulated accesses.
     cancel_check_every: int = DEFAULT_CHECK_EVERY
-    #: Watchdog poll interval for disconnect/quota checks.
-    watchdog_poll_s: float = 0.05
     #: Chaos-only network fault plan applied at the write boundary.
     faults: FaultPlan | None = None
 
     def __post_init__(self) -> None:
         if self.slots < 1:
             raise ServeError("slots must be >= 1")
-        if self.jobs_per_run < 1:
-            raise ServeError("jobs_per_run must be >= 1")
         if self.max_cells_per_job < 1:
             raise ServeError("max_cells_per_job must be >= 1")
-        if self.default_deadline_s is not None and self.default_deadline_s <= 0:
-            raise ServeError("default_deadline_s must be positive (or None)")
         if self.cancel_check_every < 1:
             raise ServeError("cancel_check_every must be >= 1")
-        if self.watchdog_poll_s <= 0:
-            raise ServeError("watchdog_poll_s must be positive")
 
     def policy(self) -> ExecutionPolicy:
-        """The execution policy every served job runs under."""
-        return ExecutionPolicy(jobs=self.jobs_per_run,
+        """The execution policy every served job runs under: in-thread
+        serial, one job per worker slot."""
+        return ExecutionPolicy(jobs=1,
                                use_cache=self.use_cache,
                                cache_dir=self.cache_dir,
                                retries=self.retries,
@@ -152,14 +141,11 @@ class ServeConfig:
 class _Connection:
     """One client link: serialised writes + liveness tracking.
 
-    The chaos plan can assign the link a network ``fate`` (rolled once
-    per tenant connection by the server): ``reset`` closes before the
-    second write, ``partition`` closes right after the
-    ``net_after_writes``-th delivered frame, ``blackhole`` silently
-    swallows every write past that point while reporting success, and
-    ``slow_write`` stalls each write.  All of it happens here, at the
-    write boundary, so the rest of the server exercises its real
-    dead/dark-connection paths.
+    The chaos plan can mark the link ``partitioned`` (rolled once per
+    tenant connection by the server): it then closes right after its
+    :data:`NET_AFTER_WRITES`-th delivered frame.  That happens here, at
+    the write boundary, so the rest of the server exercises its real
+    dead-connection paths.
     """
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
@@ -170,10 +156,8 @@ class _Connection:
         #: their span subtrees off it (the job runs in a worker task,
         #: so the parent must travel explicitly, not via context).
         self.span: Span | None = None
-        #: Injected network fate ("" = healthy); see class docstring.
-        self.fate = ""
-        self.net_after_writes = 2
-        self.slow_write_s = 0.0
+        #: Injected network partition; see class docstring.
+        self.partitioned = False
         self._writes = 0
         self._lock = asyncio.Lock()
 
@@ -181,24 +165,16 @@ class _Connection:
         """Write one frame; False (never raises) on a dead connection."""
         if self.closed:
             return False
-        if self.fate == "reset" and self._writes >= 1:
-            await self.close()
-            return False
-        if self.fate == "blackhole" and self._writes >= self.net_after_writes:
-            self._writes += 1
-            return True  # the void reports success
         frame = protocol.encode_message(message)
         try:
             async with self._lock:
-                if self.fate == "slow_write" and self.slow_write_s > 0:
-                    await asyncio.sleep(self.slow_write_s)
                 self.writer.write(frame)
                 await self.writer.drain()
         except (ConnectionError, OSError):
             self.closed = True
             return False
         self._writes += 1
-        if self.fate == "partition" and self._writes >= self.net_after_writes:
+        if self.partitioned and self._writes >= NET_AFTER_WRITES:
             # Delivered, then the network went dark under the client.
             await self.close()
         return True
@@ -233,8 +209,7 @@ class ExperimentServer:
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
-        self.scheduler = FairScheduler(admission=self.config.admission,
-                                       weights=dict(self.config.weights))
+        self.scheduler = FairScheduler(admission=self.config.admission)
         self._policy = self.config.policy()
         self._server: asyncio.AbstractServer | None = None
         self._cond: asyncio.Condition = asyncio.Condition()
@@ -245,7 +220,7 @@ class ExperimentServer:
         #: loop, so plain dict updates suffice.  Terminal jobs leave.
         self._jobs: dict[str, _JobRecord] = {}
         self._job_counter = 0
-        #: Connections accepted per tenant — the net-fault roll index.
+        #: Connections accepted per tenant — the partition roll index.
         self._conn_counts: dict[str, int] = {}
         self._started_at = 0.0
 
@@ -363,7 +338,7 @@ class ExperimentServer:
             except (ProtocolError, ValueError) as exc:
                 await conn.send(protocol.error(str(exc)))
                 return
-            self._roll_net_fate(conn)
+            self._roll_partition(conn)
             _OBS.info(obs_names.EVT_CLIENT_CONNECT, tenant=conn.tenant)
             await conn.send(protocol.welcome(__version__))
             with span(obs_names.SPAN_CONNECTION, tenant=conn.tenant) as conn_span:
@@ -397,22 +372,19 @@ class ExperimentServer:
             _OBS.info(obs_names.EVT_CLIENT_DISCONNECT, tenant=conn.tenant,
                       malformed=malformed)
 
-    def _roll_net_fate(self, conn: _Connection) -> None:
-        """Assign this connection its chaos-plan network fate (if any)."""
+    def _roll_partition(self, conn: _Connection) -> None:
+        """Roll this connection's chaos-plan partition (if any)."""
         plan = self.config.faults
-        if plan is None or not plan.net_active:
+        if plan is None:
             return
         index = self._conn_counts.get(conn.tenant, 0)
         self._conn_counts[conn.tenant] = index + 1
-        fate = plan.net_fate(conn.tenant, index)
-        if not fate:
+        if not plan.should_partition(conn.tenant, index):
             return
-        conn.fate = fate
-        conn.net_after_writes = plan.net_after_writes
-        conn.slow_write_s = plan.slow_write_s
+        conn.partitioned = True
         if _OBS.enabled:
             _OBS.warning(obs_names.EVT_NET_FAULT, tenant=conn.tenant,
-                         conn_index=index, mode=fate)
+                         conn_index=index, mode="partition")
             _OBS.counter(obs_names.MET_NET_FAULTS).inc()
 
     async def _reap_disconnected(self, conn: _Connection) -> None:
@@ -608,8 +580,6 @@ class ExperimentServer:
             raise ProtocolError("submit needs a string 'id' field")
         spec = protocol.JobSpec.from_dict(message.get("spec"))
         deadline_s = protocol.parse_submit_deadline(message)
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline_s
         cancel_on_disconnect = protocol.parse_submit_cancel_on_disconnect(
             message)
         if cancel_on_disconnect is None:
@@ -625,7 +595,7 @@ class ExperimentServer:
                   options=options, enqueued_at=time.monotonic(),
                   deadline_s=deadline_s,
                   cancel_on_disconnect=cancel_on_disconnect)
-        admission = self.scheduler.submit(job, now=time.monotonic())
+        admission = self.scheduler.submit(job)
         if _OBS.enabled:
             _OBS.histogram(obs_names.MET_QUEUE_DEPTH,
                            QUEUE_DEPTH_BUCKETS).observe(admission.queue_depth)
@@ -635,8 +605,6 @@ class ExperimentServer:
                              job=job.job_id, reason=admission.reason,
                              retry_after_s=round(admission.retry_after_s, 4))
                 _OBS.counter(obs_names.MET_JOBS_SHED).inc()
-                if admission.reason == protocol.STATUS_QUOTA:
-                    _OBS.counter(obs_names.MET_JOBS_QUOTA_EXHAUSTED).inc()
             await conn.send(protocol.shed(request_id, admission.reason,
                                           admission.retry_after_s))
             return
@@ -670,15 +638,6 @@ class ExperimentServer:
                 self._maybe_finish_drain()
                 self._cond.notify_all()
 
-    @staticmethod
-    def _terminal_status(cancel_reason: str) -> str:
-        """Map a token's cancel reason to the wire terminal status."""
-        if cancel_reason == protocol.STATUS_DEADLINE:
-            return protocol.STATUS_DEADLINE
-        if cancel_reason == protocol.STATUS_QUOTA:
-            return protocol.STATUS_QUOTA
-        return protocol.STATUS_CANCELLED
-
     def _note_cancel(self, record: _JobRecord, reason: str,
                      status: str) -> None:
         """Telemetry for one cancelled/reaped job (queued or running)."""
@@ -690,8 +649,6 @@ class ExperimentServer:
                      accesses_done=record.accesses_done)
         if status == protocol.STATUS_DEADLINE:
             _OBS.counter(obs_names.MET_JOBS_DEADLINE_EXCEEDED).inc()
-        elif status == protocol.STATUS_QUOTA:
-            _OBS.counter(obs_names.MET_JOBS_QUOTA_EXHAUSTED).inc()
         else:
             _OBS.counter(obs_names.MET_JOBS_CANCELLED).inc()
         token = record.token
@@ -700,11 +657,9 @@ class ExperimentServer:
                 max(time.monotonic() - token.cancelled_at, 0.0))
 
     async def _watchdog(self, record: _JobRecord) -> None:
-        """Poll the signals only the event loop can see for one running
-        job: the admitting connection's liveness (cancel-on-disconnect)
-        and the tenant's quota against the live progress counter.  The
-        deadline needs no watchdog — the token checks it at every
-        engine checkpoint."""
+        """Poll the admitting connection's liveness for one running job
+        (cancel-on-disconnect).  The deadline needs no watchdog — the
+        token checks it at every engine checkpoint."""
         job, token, conn = record.job, record.token, record.conn
         if token is None:  # pragma: no cover - set before the task spawns
             return
@@ -712,15 +667,12 @@ class ExperimentServer:
                   parent=conn.span if conn is not None else None,
                   tenant=job.tenant, job=job.job_id):
             while not token.cancelled:
-                await asyncio.sleep(self.config.watchdog_poll_s)
+                await asyncio.sleep(WATCHDOG_POLL_S)
                 if record.state != protocol.STATE_RUNNING:
                     return
                 if (job.cancel_on_disconnect and conn is not None
                         and conn.closed):
                     token.cancel(protocol.REASON_DISCONNECTED)
-                elif self.scheduler.overdrawn(job, token.progress,
-                                              now=time.monotonic()):
-                    token.cancel(protocol.STATUS_QUOTA)
 
     async def _run_job(self, job: Job, slot: int) -> None:
         """Execute one admitted job on this worker slot.
@@ -769,12 +721,14 @@ class ExperimentServer:
                 await record.watchdog
         service_s = time.monotonic() - job.started_at
         ok = n_failed == 0 and not cancel_reason
-        status = ("ok" if ok else protocol.STATUS_FAILED) if not cancel_reason \
-            else self._terminal_status(cancel_reason)
+        if not cancel_reason:
+            status = protocol.STATUS_OK if ok else protocol.STATUS_FAILED
+        elif cancel_reason == protocol.STATUS_DEADLINE:
+            status = protocol.STATUS_DEADLINE
+        else:
+            status = protocol.STATUS_CANCELLED
         self.scheduler.finish(job, service_s, wait_s=wait_s, ok=ok,
-                              cancelled=bool(cancel_reason),
-                              accesses_done=record.accesses_done,
-                              now=time.monotonic())
+                              cancelled=bool(cancel_reason))
         if _OBS.enabled:
             outcome = {"tenant": job.tenant, "job": job.job_id,
                        "cells": len(job.cells), "failed": n_failed,
@@ -786,9 +740,6 @@ class ExperimentServer:
             elif not cancel_reason:
                 _OBS.warning(obs_names.EVT_JOB_FAILED, **outcome)
                 _OBS.counter(obs_names.MET_JOBS_FAILED).inc()
-            if self.scheduler.quota_enabled and record.accesses_done:
-                _OBS.counter(obs_names.MET_ACCESSES_CHARGED).inc(
-                    record.accesses_done)
             _OBS.histogram(obs_names.MET_JOB_WAIT_S).observe(wait_s)
             _OBS.histogram(obs_names.MET_JOB_SERVICE_S).observe(service_s)
             tenant_scope = obs.scope(f"serve.tenant.{job.tenant}")

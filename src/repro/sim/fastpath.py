@@ -190,7 +190,7 @@ def _build_arrays_scalar(
     evicted: list[int] = []
     # Cancellation checkpoints only — no progress advance: the replay
     # re-walks these accesses and meters them there, so advancing here
-    # would double-bill the tenant's quota.
+    # would count them twice in the job's reported progress.
     cancel, check_every = _cancel_checks()
     next_check = check_every if cancel is not None else NEVER
     for i, block in enumerate(blocks_list):
@@ -243,7 +243,7 @@ def _build_arrays_lru2(
 
     def checkpoint() -> None:
         # Cancellation only — no progress advance (the replay re-walks
-        # and meters these accesses; advancing here would double-bill).
+        # and meters these accesses; advancing here would count twice).
         if cancel is not None:
             cancel.raise_if_cancelled()
 

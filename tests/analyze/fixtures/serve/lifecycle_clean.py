@@ -1,7 +1,7 @@
 """OBS001/OBS002 fixture: the serve-tier lifecycle vocabulary.
 
-Every cancellation, quota, and chaos name introduced for job
-lifecycle resilience is registered — emitting any of them, by
+Every cancellation and chaos name introduced for job lifecycle
+resilience is registered — emitting any of them, by
 literal or by constant, must produce no findings.
 """
 from repro import obs
@@ -23,12 +23,10 @@ def net_fault_by_literal(tenant, fate):
 def terminal_counters():
     _OBS.counter(obs_names.MET_JOBS_CANCELLED).inc()
     _OBS.counter(obs_names.MET_JOBS_DEADLINE_EXCEEDED).inc()
-    _OBS.counter(obs_names.MET_JOBS_QUOTA_EXHAUSTED).inc()
     _OBS.counter(obs_names.MET_NET_FAULTS).inc()
 
 
-def metering(accesses):
-    _OBS.counter(obs_names.MET_ACCESSES_CHARGED).inc(accesses)
+def cancel_latency():
     _OBS.histogram(MET_CANCEL_LATENCY_S).observe(0.01)
 
 

@@ -24,7 +24,7 @@ class TestSerial:
         assert metered == plain
         assert manifest.failed == 0
         # Every trace-simulating cell meters its accesses (analysis
-        # cells run no engine loop, so they bill nothing).
+        # cells run no engine loop, so they meter nothing).
         n_trace = sum(1 for cell in sweep if cell.kind == "trace")
         assert token.progress == n_trace * tiny_options.n_accesses
 
@@ -52,7 +52,7 @@ class TestSerial:
         n_first = tiny_options.n_accesses
 
         class TripwireToken(CancelToken):
-            """Cancels itself once the first cell's accesses are billed."""
+            """Cancels itself once the first cell's accesses are metered."""
 
             __slots__ = ()
 

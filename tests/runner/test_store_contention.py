@@ -4,12 +4,15 @@ The store's only promises under concurrency are (a) readers never see
 a torn artifact — a ``get`` returns a complete payload or a miss, and
 (b) nothing healthy lands in quarantine.  These tests hammer one store
 root from several OS processes (the same isolation level the runner's
-pool uses) and check exactly those promises, plus the StoreLock's
-timeout/stale-break behaviour and its obs counters.
+pool uses) and from several threads of one process (as the serve
+tier's slots do), and check exactly those promises, plus the
+StoreLock's timeout/stale-break behaviour and its obs counters.
 """
 
 import multiprocessing
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -83,6 +86,37 @@ class TestConcurrentPutGet:
         stats = store.stats()
         assert stats.n_entries == N_KEYS
         assert stats.n_quarantined == 0
+
+    def test_threads_of_one_process_never_collide(self, tmp_path):
+        """Serve slots put artifacts from threads of one process; two
+        threads writing the same key at once must both succeed."""
+        store = ResultStore(tmp_path / "store")
+        errors = []
+
+        def writer():
+            try:
+                for _ in range(20):
+                    for key in _keys()[:5]:
+                        store.put(key, _payload(key), sidecar=key.encode())
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(N_WORKERS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for key in _keys()[:5]:
+            got = store.get(key)
+            assert got is not None and got["key"] == key
+        assert store.stats().n_quarantined == 0
 
     def test_writers_racing_gc(self, tmp_path):
         """gc may delete artifacts mid-race, but every survivor must

@@ -1,58 +1,15 @@
 """Chaos: misbehaving tenants must not stall or starve the rest.
 
-Two layers: hand-scripted misbehaviour (vanish after acceptance,
-garbage frames, glacial reads) racing a well-behaved tenant, and a
-seeded loadgen run with mixed fault probabilities that must still
-produce a clean report and a drainable server.
+Hand-scripted misbehaviour (vanish after acceptance, garbage frames,
+glacial reads) races a well-behaved tenant, which must still land
+every job on a server that then goes idle cleanly.
 """
 
 import asyncio
 
-import pytest
-
-from repro.errors import ConfigError
-from repro.faults import FaultPlan, parse_fault_spec
-from repro.serve import AdmissionConfig, LoadGenConfig, ServeClient
-from repro.serve.loadgen import run_loadgen_async
+from repro.serve import AdmissionConfig, ServeClient
 
 from .conftest import TINY_SPEC, serving
-
-
-class TestServeFaultSpec:
-    def test_parse_serve_modes(self):
-        plan = parse_fault_spec(
-            "slow_client:0.2,disconnect:0.1,malformed:0.3,slow_client_s:0.05")
-        assert plan.slow_client_p == 0.2
-        assert plan.disconnect_p == 0.1
-        assert plan.malformed_p == 0.3
-        assert plan.slow_client_s == 0.05
-        assert plan.serve_active
-
-    def test_zeroed_plan_is_inactive(self):
-        assert not FaultPlan().serve_active
-        assert not parse_fault_spec("crash:0.5").serve_active
-
-    def test_bad_probability_rejected(self):
-        with pytest.raises(ConfigError):
-            FaultPlan(disconnect_p=1.5)
-
-    def test_rolls_are_deterministic_and_independent(self):
-        plan = FaultPlan(disconnect_p=0.5, malformed_p=0.5, seed=9)
-        again = FaultPlan(disconnect_p=0.5, malformed_p=0.5, seed=9)
-        rolls = [(plan.should_disconnect("a", i), plan.should_malform("a", i))
-                 for i in range(64)]
-        assert rolls == [(again.should_disconnect("a", i),
-                          again.should_malform("a", i)) for i in range(64)]
-        # Both faults fire somewhere, and not always together: the
-        # modes roll independently rather than sharing one dice throw.
-        assert any(d for d, _ in rolls) and any(m for _, m in rolls)
-        assert any(d != m for d, m in rolls)
-
-    def test_rolls_vary_by_tenant(self):
-        plan = FaultPlan(disconnect_p=0.5)
-        a = [plan.should_disconnect("a", i) for i in range(64)]
-        b = [plan.should_disconnect("b", i) for i in range(64)]
-        assert a != b
 
 
 class TestMisbehavingTenantContainment:
@@ -122,33 +79,3 @@ class TestMisbehavingTenantContainment:
         assert stats["completed"] == stats["admitted"]
         assert stats["queue_depth"] == 0 and stats["in_flight"] == 0
 
-
-class TestChaosLoadgen:
-    def test_mixed_faults_clean_report_and_drain(self):
-        faults = FaultPlan(disconnect_p=0.3, malformed_p=0.2,
-                           slow_client_p=0.3, slow_client_s=0.05)
-
-        async def scenario():
-            async with serving(slots=2) as server:
-                config = LoadGenConfig(
-                    address=server.address, tenants=3, jobs_per_tenant=4,
-                    rate_hz=20.0, spec=dict(TINY_SPEC), seed=5,
-                    faults=faults, job_timeout_s=60.0)
-                report = await run_loadgen_async(config)
-                # The server survived the abuse: a fresh client still
-                # gets served, and the context-manager drain completes.
-                async with await ServeClient.connect(
-                        server.address, "after") as client:
-                    sane = await client.run_job(TINY_SPEC, "after-1")
-                return report, sane
-
-        report, sane = asyncio.run(scenario())
-        assert report["faults_active"]
-        assert report["submitted"] == 12
-        assert report["errors"] == 0
-        assert report["failed"] == 0
-        # The plan's probabilities guarantee some arrivals misbehaved
-        # (deterministic rolls — this is not a flaky expectation).
-        assert report["by_status"].get("abandoned", 0) > 0
-        assert report["completed"] > 0
-        assert sane.status == "ok"

@@ -1,5 +1,5 @@
 """Job lifecycle over real sockets: cancel frames, deadlines, status
-polls, quotas, disconnect reaping, and hard shutdown.
+polls, disconnect reaping, and hard shutdown.
 
 These are the tentpole's end-to-end guarantees: a cancel/deadline
 observably stops the simulation mid-run (no cell ever streams back),
@@ -9,7 +9,7 @@ tenant isolation holds (no cross-tenant cancel, no existence oracle).
 
 import asyncio
 
-from repro.serve import AdmissionConfig, ServeClient, protocol
+from repro.serve import ServeClient, protocol
 
 from .conftest import TINY_SPEC, serving
 
@@ -139,17 +139,6 @@ class TestDeadline:
         assert result.reason == protocol.STATUS_DEADLINE
         assert result.cells == []
 
-    def test_server_default_deadline_applies(self):
-        async def scenario():
-            async with serving(cancel_check_every=1024,
-                               default_deadline_s=0.05) as server:
-                async with await ServeClient.connect(
-                        server.address, "alice") as client:
-                    return await client.run_job(LONG_SPEC, "r1")
-
-        result = asyncio.run(scenario())
-        assert result.status == protocol.STATUS_DEADLINE
-
     def test_generous_deadline_does_not_fire(self):
         async def scenario():
             async with serving() as server:
@@ -218,55 +207,6 @@ class TestJobStatus:
         assert status["type"] == protocol.JOB_STATUS
         assert status["state"] == protocol.STATE_QUEUED
         assert status["accesses_done"] == 0
-
-
-class TestQuota:
-    QUOTA = AdmissionConfig(quota_accesses=2_000, quota_window_s=3600.0)
-
-    def test_quota_sheds_after_balance_spent(self):
-        async def scenario():
-            async with serving(admission=self.QUOTA) as server:
-                async with await ServeClient.connect(
-                        server.address, "alice") as client:
-                    spec = {**TINY_SPEC, "degrees": [1, 2]}  # 2000 accesses
-                    first = await client.run_job(spec, "r1")
-                    second = await client.run_job(spec, "r2")
-                    stats = await client.status()
-                    return first, second, stats
-
-        first, second, stats = asyncio.run(scenario())
-        assert first.status == "ok"
-        assert second.status == "shed"
-        assert second.reason == "quota_exhausted"
-        assert second.retry_after_s > 0.0
-        tenant = stats["tenants"]["alice"]
-        assert tenant["accesses_charged"] == 2_000
-        assert tenant["quota_balance"] <= 0.0
-
-    def test_oversized_job_is_cancelled_mid_run_by_quota(self):
-        """A job whose estimate exceeds the whole quota is admitted
-        (reservation capped at capacity) but live-metered: the watchdog
-        cancels it once actual accesses overrun the balance."""
-        async def scenario():
-            quota = AdmissionConfig(quota_accesses=10_000,
-                                    quota_window_s=3600.0)
-            async with serving(admission=quota,
-                               cancel_check_every=1024) as server:
-                async with await ServeClient.connect(
-                        server.address, "alice") as client:
-                    result = await client.run_job(LONG_SPEC, "r1")
-                    stats = await client.status()
-                    return result, stats
-
-        result, stats = asyncio.run(scenario())
-        assert result.status == protocol.STATUS_QUOTA
-        assert result.reason == protocol.STATUS_QUOTA
-        assert result.cells == []
-        tenant = stats["tenants"]["alice"]
-        # Billed what actually ran — far less than the full trace —
-        # and the balance is clamped, not infinitely negative.
-        assert 0 < tenant["accesses_charged"] < LONG_SPEC["n_accesses"]
-        assert tenant["quota_balance"] >= -10_000.0
 
 
 class TestDisconnect:

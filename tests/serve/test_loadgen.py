@@ -107,63 +107,18 @@ class TestAgainstRealServer:
         for tenant in report["per_tenant"].values():
             assert tenant["completed"] >= 1  # nobody starved outright
 
-
-class TestLifecycleMix:
-    def test_mix_validation(self):
-        with pytest.raises(ProtocolError):
-            LoadGenConfig(address="x:1", cancel_p=1.5)
-        with pytest.raises(ProtocolError):
-            LoadGenConfig(address="x:1", deadline_p=-0.1)
-        with pytest.raises(ProtocolError):
-            LoadGenConfig(address="x:1", deadline_s=0.0)
-        with pytest.raises(ProtocolError):
-            LoadGenConfig(address="x:1", cancel_after_s=-1.0)
-
-    def test_mix_rolls_are_seeded(self):
-        config = LoadGenConfig(address="x:1", cancel_p=0.5, deadline_p=0.5,
-                               seed=3)
-        again = LoadGenConfig(address="x:1", cancel_p=0.5, deadline_p=0.5,
-                              seed=3)
-        rolls = [(config.should_cancel("t0", i), config.should_deadline("t0", i))
-                 for i in range(64)]
-        assert rolls == [(again.should_cancel("t0", i),
-                          again.should_deadline("t0", i)) for i in range(64)]
-        assert any(c for c, _ in rolls) and any(d for _, d in rolls)
-        assert any(c != d for c, d in rolls)  # independent dice
-
-    def test_cancel_mix_lands_as_structured_terminals(self):
-        """Every accepted job is cancelled mid-stream; the report counts
-        them as `cancelled`, not errors, and the server drains clean."""
-        slow = {**TINY_SPEC, "n_accesses": 100_000}
-
+    def test_timed_out_job_is_one_error(self):
+        """A job the client gives up on counts once, as one error."""
         async def scenario():
-            async with serving(slots=2, cancel_check_every=1024) as server:
+            async with serving(slots=1, cancel_on_disconnect=True,
+                               cancel_check_every=1024) as server:
                 config = LoadGenConfig(
-                    address=server.address, tenants=2, jobs_per_tenant=2,
-                    rate_hz=20.0, spec=slow, seed=11, job_timeout_s=60.0,
-                    cancel_p=1.0, cancel_after_s=0.05)
-                report = await run_loadgen_async(config)
-                return report, server.scheduler.stats()
-
-        report, stats = asyncio.run(scenario())
-        assert report["submitted"] == 4
-        assert report["errors"] == 0 and report["failed"] == 0
-        assert report["cancelled"] + report["shed"] == 4
-        assert report["cancelled"] > 0
-        assert stats["in_flight"] == 0 and stats["queue_depth"] == 0
-
-    def test_deadline_mix_lands_as_structured_terminals(self):
-        slow = {**TINY_SPEC, "n_accesses": 100_000}
-
-        async def scenario():
-            async with serving(slots=2, cancel_check_every=1024) as server:
-                config = LoadGenConfig(
-                    address=server.address, tenants=2, jobs_per_tenant=2,
-                    rate_hz=20.0, spec=slow, seed=11, job_timeout_s=60.0,
-                    deadline_p=1.0, deadline_s=0.05)
+                    address=server.address, tenants=1, jobs_per_tenant=1,
+                    rate_hz=50.0, spec={**TINY_SPEC, "n_accesses": 200_000},
+                    seed=1, job_timeout_s=0.2)
                 return await run_loadgen_async(config)
 
         report = asyncio.run(scenario())
-        assert report["errors"] == 0 and report["failed"] == 0
-        assert report["deadline_exceeded"] + report["shed"] == 4
-        assert report["deadline_exceeded"] > 0
+        assert report["errors"] == report["submitted"] == 1
+        assert sum(report["by_status"].values()) == report["submitted"]
+

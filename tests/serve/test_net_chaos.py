@@ -1,5 +1,5 @@
-"""Network chaos at the server's write boundary: partitions, resets,
-blackholes, slow links — all seeded, all tenant-targetable.
+"""Network chaos at the server's write boundary: a seeded,
+tenant-targetable partition.
 
 The headline drill: one tenant is fully partitioned while three
 healthy tenants drive the server past saturation.  The victim's jobs
@@ -9,7 +9,6 @@ must drain with nothing orphaned in flight.
 """
 
 import asyncio
-import time
 
 import pytest
 
@@ -25,103 +24,48 @@ LONG_SPEC = {**TINY_SPEC, "degrees": [1], "n_accesses": 200_000}
 
 class TestNetFaultSpec:
     def test_parse_net_modes(self):
-        plan = parse_fault_spec(
-            "partition:0.5,reset:0.25,blackhole:0.125,slow_write:1.0,"
-            "net_after_writes:3,slow_write_s:0.01,net_tenants:t0+t2")
+        plan = parse_fault_spec("partition:0.5,net_tenants:t0+t2,seed:3")
         assert plan.partition_p == 0.5
-        assert plan.reset_p == 0.25
-        assert plan.blackhole_p == 0.125
-        assert plan.slow_write_p == 1.0
-        assert plan.net_after_writes == 3
-        assert plan.slow_write_s == 0.01
         assert plan.net_tenants == ("t0", "t2")
-        assert plan.net_active
+        assert plan.seed == 3
 
     def test_zeroed_plan_has_no_net_fates(self):
         plan = FaultPlan()
-        assert not plan.net_active
-        assert plan.net_fate("anyone", 0) == ""
+        assert not any(plan.should_partition("anyone", i) for i in range(16))
 
     def test_bad_net_config_rejected(self):
         with pytest.raises(ConfigError):
             FaultPlan(partition_p=1.5)
         with pytest.raises(ConfigError):
-            FaultPlan(net_after_writes=0)
-        with pytest.raises(ConfigError):
-            FaultPlan(slow_write_s=-0.1)
+            parse_fault_spec("partition:often")
         with pytest.raises(ConfigError):
             parse_fault_spec("net_tenants:")
 
+    def test_removed_modes_rejected(self):
+        # Partition is the one network fault; the old network and
+        # client-chaos tokens are unknown modes now.
+        for token in ("reset:1", "disconnect:1", "malformed:1"):
+            with pytest.raises(ConfigError):
+                parse_fault_spec(token)
+
     def test_fates_are_deterministic_and_tenant_scoped(self):
-        plan = FaultPlan(partition_p=0.5, blackhole_p=0.5, seed=11,
-                         net_tenants=("victim",))
-        again = FaultPlan(partition_p=0.5, blackhole_p=0.5, seed=11,
-                          net_tenants=("victim",))
-        fates = [plan.net_fate("victim", i) for i in range(64)]
-        assert fates == [again.net_fate("victim", i) for i in range(64)]
-        assert "partition" in fates and "blackhole" in fates
-        # Tenants outside net_tenants never draw a fate.
-        assert all(plan.net_fate("healthy", i) == "" for i in range(64))
+        plan = FaultPlan(partition_p=0.5, seed=11, net_tenants=("victim",))
+        again = FaultPlan(partition_p=0.5, seed=11, net_tenants=("victim",))
+        rolls = [plan.should_partition("victim", i) for i in range(64)]
+        assert rolls == [again.should_partition("victim", i)
+                         for i in range(64)]
+        assert any(rolls) and not all(rolls)
+        other_seed = FaultPlan(partition_p=0.5, seed=12,
+                               net_tenants=("victim",))
+        assert rolls != [other_seed.should_partition("victim", i)
+                         for i in range(64)]
+        # Tenants outside net_tenants are never partitioned.
+        assert not any(plan.should_partition("healthy", i)
+                       for i in range(64))
 
     def test_certain_partition_always_lands(self):
         plan = FaultPlan(partition_p=1.0)
-        assert all(plan.net_fate("t", i) == "partition" for i in range(16))
-
-    def test_reset_takes_precedence(self):
-        plan = FaultPlan(reset_p=1.0, partition_p=1.0, slow_write_p=1.0)
-        assert plan.net_fate("t", 0) == "reset"
-
-
-class TestSingleFates:
-    def test_reset_drops_connection_before_first_reply(self):
-        async def scenario():
-            faults = FaultPlan(reset_p=1.0)
-            async with serving(faults=faults) as server:
-                client = await ServeClient.connect(server.address, "alice")
-                try:
-                    await client.submit(TINY_SPEC, "r1")
-                    with pytest.raises(ProtocolError):
-                        await client.recv()
-                finally:
-                    await client.close(polite=False)
-
-        asyncio.run(scenario())
-
-    def test_blackhole_starves_the_client_silently(self):
-        async def scenario():
-            faults = FaultPlan(blackhole_p=1.0)
-            async with serving(faults=faults) as server:
-                client = await ServeClient.connect(server.address, "alice")
-                try:
-                    await client.submit(TINY_SPEC, "r1")
-                    accepted = await client.recv()  # write #2: delivered
-                    assert accepted["type"] == protocol.ACCEPTED
-                    # Everything after net_after_writes vanishes: the
-                    # job runs, its frames never arrive.
-                    with pytest.raises(asyncio.TimeoutError):
-                        await asyncio.wait_for(client.recv(), timeout=1.0)
-                finally:
-                    await client.close(polite=False)
-                for _ in range(200):
-                    if server.scheduler.stats()["completed"]:
-                        break
-                    await asyncio.sleep(0.02)
-                return server.scheduler.stats()
-
-        stats = asyncio.run(scenario())
-        assert stats["completed"] == 1  # server-side work was unaffected
-
-    def test_slow_write_delays_every_frame(self):
-        async def scenario():
-            faults = FaultPlan(slow_write_p=1.0, slow_write_s=0.05)
-            async with serving(faults=faults) as server:
-                started = time.perf_counter()
-                client = await ServeClient.connect(server.address, "alice")
-                handshake_s = time.perf_counter() - started
-                await client.close(polite=False)
-                return handshake_s
-
-        assert asyncio.run(scenario()) >= 0.05
+        assert all(plan.should_partition("t", i) for i in range(16))
 
 
 class TestPartitionDrill:

@@ -173,8 +173,7 @@ class TestLifecycleFrames:
 
     def test_terminal_statuses(self):
         assert protocol.TERMINAL_STATUSES == {
-            "ok", "failed", "cancelled", "deadline_exceeded",
-            "quota_exhausted"}
+            "ok", "failed", "cancelled", "deadline_exceeded"}
 
     def test_submit_carries_lifecycle_options(self):
         spec = {"workload": "oltp"}
@@ -212,10 +211,3 @@ class TestLifecycleFrames:
                                   0, 0, 0.1, 0.2,
                                   reason=protocol.REASON_CLIENT_CANCEL)
         assert cancelled["reason"] == protocol.REASON_CLIENT_CANCEL
-
-    def test_estimated_accesses(self):
-        trace = JobSpec(workload="oltp", n_accesses=2_000, degrees=[1, 2, 4])
-        assert trace.estimated_accesses == 6_000
-        opportunity = JobSpec(workload="oltp", kind="opportunity",
-                              n_accesses=2_000)
-        assert opportunity.estimated_accesses == 2_000

@@ -208,7 +208,7 @@ class TestEngineCheckpoints:
                 config, StmsPrefetcher(config)).run_filtered(filt)
         assert replayed.metrics == baseline.metrics
         # Replay meters the *original* access count, not just misses —
-        # quota billing must not depend on which path served the run.
+        # reported progress must not depend on which path served the run.
         assert token.progress == len(tiny_trace)
 
     def test_replay_cancel_stops_midway(self, config, tiny_trace):
@@ -237,8 +237,8 @@ class TestEngineCheckpoints:
         with cancel_scope(token):
             build_l1_filter(tiny_trace, config)
         # The build walks the trace but must not advance progress: the
-        # replay re-meters those accesses, and double-billing a tenant
-        # for one logical run would be a quota bug.
+        # replay re-meters those accesses, and counting them twice would
+        # overstate one logical run's progress.
         assert token.progress == 0
 
     def test_filter_build_honours_cancel(self, config, tiny_trace):

@@ -1,13 +1,40 @@
 """Documentation consistency: the docs must track the code."""
 
+import argparse
+import re
 from pathlib import Path
 
 import pytest
 
+from repro.cli import build_parser
 from repro.experiments import experiment_ids
+from repro.faults import parse_fault_spec
 from repro.workloads import workload_names
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: Flags the docs name that belong to other tools (pip, pytest).
+FOREIGN_FLAGS = {"--no-build-isolation", "--benchmark-only"}
+
+_FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+_SPEC_RE = re.compile(r"--inject-(?:net-)?faults\s+(\S+)")
+
+
+def _doc_texts():
+    paths = [ROOT / "README.md", ROOT / "DESIGN.md",
+             *sorted((ROOT / "docs").glob("*.md"))]
+    return {path.relative_to(ROOT).as_posix(): path.read_text()
+            for path in paths}
+
+
+def _cli_options(parser):
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                options |= _cli_options(subparser)
+    return options
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +94,21 @@ def test_design_lists_every_workload(design_md, readme_md):
         variants = (workload, workload.replace("_", " "),
                     workload.replace("_", "-"))
         assert any(v in corpus for v in variants), f"docs missing {workload}"
+
+
+def test_every_documented_flag_is_a_cli_option():
+    known = _cli_options(build_parser()) | FOREIGN_FLAGS
+    unknown = sorted({(name, flag) for name, text in _doc_texts().items()
+                      for flag in _FLAG_RE.findall(text)
+                      if flag not in known})
+    assert unknown == []
+
+
+def test_documented_fault_specs_parse():
+    specs = [(name, token.strip("`'\"()[],.;"))
+             for name, text in _doc_texts().items()
+             for token in _SPEC_RE.findall(text)
+             if ":" in token or "@" in token]
+    assert specs, "the docs give no fault-spec examples"
+    for name, spec in specs:
+        parse_fault_spec(spec)  # raises ConfigError on a stale example
