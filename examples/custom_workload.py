@@ -14,7 +14,7 @@ Run:  python examples/custom_workload.py
 
 from repro import SystemConfig, WorkloadConfig, make_prefetcher, simulate_trace
 from repro.sequitur import analyze_sequence
-from repro.sim.engine import collect_miss_stream
+from repro.sim.fastpath import build_l1_filter
 from repro.workloads import generate_trace
 
 BROKER = WorkloadConfig(
@@ -43,8 +43,8 @@ def main() -> None:
     trace = generate_trace(BROKER, N_ACCESSES, seed=7)
 
     # 1. How much temporal opportunity is there at all?
-    misses = [b for _, b in collect_miss_stream(
-        trace.slice(WARMUP, len(trace)), config)]
+    misses = build_l1_filter(trace.slice(WARMUP, len(trace)),
+                             config).blocks.tolist()
     analysis = analyze_sequence(misses)
     print(f"misses in measured window: {analysis.total_misses}")
     print(f"temporal opportunity (Sequitur): {analysis.opportunity:.1%}, "

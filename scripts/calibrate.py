@@ -17,7 +17,7 @@ import time
 
 from repro import SystemConfig, make_prefetcher, simulate_trace, workload_names
 from repro.sequitur import analyze_sequence
-from repro.sim.engine import collect_miss_stream
+from repro.sim.fastpath import build_l1_filter
 from repro.workloads import default_suite
 
 PREFETCHERS = ["vldp", "isb", "stms", "digram", "domino"]
@@ -38,8 +38,8 @@ def main() -> None:
     for name in names:
         t0 = time.time()
         trace = suite.trace(name, n_accesses)
-        misses = [b for _, b in collect_miss_stream(
-            trace.slice(warmup, n_accesses), config)]
+        misses = build_l1_filter(trace.slice(warmup, n_accesses),
+                                 config).blocks.tolist()
         cells = []
         for pf_name in PREFETCHERS:
             pf = make_prefetcher(pf_name, config, degree=degree)

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field, replace
 from collections.abc import Sequence
 from typing import Any
 
-from ..config import SystemConfig, timing_config
+from ..config import CacheConfig, SystemConfig, timing_config
 from ..prefetchers.registry import make_prefetcher
-from ..sim.engine import SimulationResult, collect_miss_stream, simulate_trace
+from ..sim.engine import SimulationResult, TraceSimulator
+from ..sim.fastpath import L1Filter, build_l1_filter
 from ..stats.tables import format_table
 from ..workloads.server import workload_names
 from ..workloads.suite import WorkloadSuite
@@ -87,14 +88,19 @@ class ExperimentResult:
 
 
 class ExperimentContext:
-    """Caches traces and baseline miss streams across one experiment."""
+    """Caches traces and their L1 filters across one experiment.
+
+    One filter per ``(workload, L1 geometry, window)`` serves every run:
+    the whole-trace filter is replayed for each prefetcher and table
+    size, and the measured-window filter is the baseline miss stream.
+    """
 
     def __init__(self, options: ExperimentOptions) -> None:
         self.options = options
         self.config = SystemConfig()
         self.timing = timing_config()
         self.suite = WorkloadSuite(seed=options.seed)
-        self._miss_streams: dict[str, list[tuple[int, int]]] = {}
+        self._filters: dict[tuple[str, CacheConfig, int], L1Filter] = {}
         #: Manifest of the most recent :meth:`run_cells` sweep (merged
         #: across calls within one experiment).
         self.last_manifest = None
@@ -107,29 +113,40 @@ class ExperimentContext:
                                       self.options.per_core_accesses,
                                       n_cores=self.timing.n_cores)
 
-    def miss_stream(self, workload: str) -> list[tuple[int, int]]:
-        """Baseline (pc, block) miss sequence of the measured window."""
-        if workload not in self._miss_streams:
+    def l1_filter(self, workload: str, config: SystemConfig | None = None,
+                  start: int = 0) -> L1Filter:
+        """The L1 filter of ``workload``'s trace from access ``start``
+        on (0 for the whole trace, ``options.warmup`` for the measured
+        window), built once per L1 geometry."""
+        cfg = config if config is not None else self.config
+        key = (workload, cfg.l1d, start)
+        filt = self._filters.get(key)
+        if filt is None:
             trace = self.trace(workload)
-            window = trace.slice(self.options.warmup, len(trace))
-            self._miss_streams[workload] = collect_miss_stream(window, self.config)
-        return self._miss_streams[workload]
+            if start:
+                trace = trace.slice(start, len(trace))
+            filt = self._filters[key] = build_l1_filter(trace, cfg)
+        return filt
 
     def miss_blocks(self, workload: str) -> list[int]:
-        return [block for _, block in self.miss_stream(workload)]
+        """Baseline miss blocks of the measured window: with no
+        prefetcher every L1 miss is uncovered, so they are the window
+        filter's ``blocks``."""
+        return self.l1_filter(workload, start=self.options.warmup).blocks.tolist()
 
     def run_prefetcher(self, workload: str, name: str,
                        degree: int | None = None,
                        config: SystemConfig | None = None,
                        **kwargs: Any) -> SimulationResult:
-        """Trace-driven run with the standard warm-up protocol."""
+        """Trace-driven run with the standard warm-up protocol, replaying
+        the workload's whole-trace filter."""
         options = self.options
         cfg = config if config is not None else self.config
         prefetcher = make_prefetcher(
             name, cfg, degree=degree if degree is not None else options.degree,
             **kwargs)
-        return simulate_trace(self.trace(workload), cfg, prefetcher,
-                              warmup=options.warmup)
+        return TraceSimulator(cfg, prefetcher).run_filtered(
+            self.l1_filter(workload, cfg), warmup=options.warmup)
 
     def run_cells(self, cells: Sequence[Any]) -> list[dict]:
         """Execute a sweep of :class:`repro.runner.Cell` objects through

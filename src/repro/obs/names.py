@@ -100,7 +100,7 @@ MET_OVERPREDICTION = "overprediction"
 
 # -- sim.fastpath / runner.fastpath counters --------------------------------
 MET_FASTPATH_BUILDS = "fastpath_builds"          # filters built from a trace
-MET_FASTPATH_REPLAYS = "fastpath_replays"        # engine runs served by replay
+MET_FASTPATH_REPLAYS = "fastpath_replays"        # engine runs (all replay a filter)
 MET_FASTPATH_MEMO_HITS = "fastpath_memo_hits"    # filters reused in-process
 MET_FASTPATH_STORE_HITS = "fastpath_store_hits"  # filters loaded from the store
 
@@ -150,7 +150,7 @@ MET_UPTIME_S = "uptime_s"                  # gauge, seconds since server start
 SPAN_EXPERIMENT = "cli.experiment"         # one CLI experiment invocation
 SPAN_RUN_CELLS = "runner.run"              # one run_cells() call
 SPAN_CELL = "runner.cell"                  # one cell execution (worker root)
-SPAN_SIMULATE = "sim.simulate"             # one engine run (full or replay)
+SPAN_SIMULATE = "sim.simulate"             # one engine run (a filter replay)
 SPAN_FASTPATH_BUILD = "fastpath.build"     # one L1 filter build
 SPAN_CONNECTION = "serve.connection"       # one client connection lifetime
 SPAN_JOB = "serve.job"                     # one admitted job, pickup -> done

@@ -57,9 +57,10 @@ class Cell:
     ``kind`` selects the executor:
 
     ``trace``
-        Trace-driven prefetcher run (:func:`repro.sim.engine.simulate_trace`)
-        with the standard warm-up protocol.  Uses ``workload``,
-        ``prefetcher``, ``degree`` (``None`` → the sweep's default).
+        Trace-driven prefetcher run with the standard warm-up protocol:
+        :meth:`repro.sim.engine.TraceSimulator.run_filtered` over the
+        workload's shared L1 filter.  Uses ``workload``, ``prefetcher``,
+        ``degree`` (``None`` → the sweep's default).
     ``opportunity``
         Sequitur opportunity of the baseline miss stream
         (degree-independent — shared by fig11 and fig13).

@@ -4,10 +4,10 @@ Implements the paper's trace-based methodology (Section IV-C/D): all
 prefetchers are trained on the L1-D miss sequence and prefetch into a
 32-block buffer near the L1-D.  Prefetches never fill the L1, so its
 hit/miss split is prefetcher-independent, and the engine is one event
-loop over the L1 misses — produced lazily from the trace by
-:meth:`TraceSimulator.run`, or read from a precomputed
-:class:`~repro.sim.fastpath.L1Filter` by
-:meth:`TraceSimulator.run_filtered`.  For each miss the engine:
+loop over the L1 misses of an :class:`~repro.sim.fastpath.L1Filter`:
+:meth:`TraceSimulator.run` builds the trace's filter and replays it,
+:meth:`TraceSimulator.run_filtered` replays a filter built (or loaded)
+once and shared across runs.  For each miss the engine:
 
 1. consults the prefetch buffer — a hit there is a *covered* miss and
    a triggering event of kind "prefetch hit", a miss is an uncovered
@@ -19,21 +19,20 @@ loop over the L1 misses — produced lazily from the trace by
    (stream-end detection / replacement semantics).
 
 Outputs are :class:`SimulationResult` objects carrying the coverage
-metrics, the metadata traffic, per-stream useful-run lengths, and the
-raw miss sequence when requested (for Sequitur analysis).
+metrics, the metadata traffic and per-stream useful-run lengths.  The
+baseline miss sequence (Sequitur's input) needs no engine run: with no
+prefetcher every L1 miss is uncovered, so it is the filter's
+``(pcs, blocks)``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..cancel import NEVER, current_token
 from ..config import SystemConfig
-from ..errors import SimulationError
-from ..memory.cache import Cache
 from ..memory.metadata import MetadataTraffic
 from ..memory.prefetch_buffer import PrefetchBuffer
 from ..obs import DEBUG
@@ -44,7 +43,7 @@ from ..obs.trace import span as trace_span
 from ..prefetchers.base import NullPrefetcher, Prefetcher
 from ..stats.metrics import CoverageMetrics
 from ..stats.streamstats import StreamLengthStats
-from .fastpath import L1Filter, l1_misses
+from .fastpath import L1Filter, build_l1_filter
 from .trace import MemoryTrace, validate_warmup
 
 if TYPE_CHECKING:
@@ -67,8 +66,6 @@ class SimulationResult:
     metrics: CoverageMetrics
     metadata: MetadataTraffic
     stream_lengths: StreamLengthStats = field(default_factory=StreamLengthStats)
-    #: (pc, block) pairs of uncovered misses, when collection was requested.
-    miss_stream: list[tuple[int, int]] | None = None
     #: Free-form per-prefetcher extras (e.g. spatio-temporal split).
     extras: dict = field(default_factory=dict)
 
@@ -95,66 +92,54 @@ class SimulationResult:
 class TraceSimulator:
     """Drives one prefetcher over one trace."""
 
-    def __init__(self, config: SystemConfig, prefetcher: Prefetcher | None = None,
-                 collect_misses: bool = False) -> None:
+    def __init__(self, config: SystemConfig,
+                 prefetcher: Prefetcher | None = None) -> None:
         self.config = config
         self.prefetcher = prefetcher if prefetcher is not None else NullPrefetcher(config)
-        self.collect_misses = collect_misses
-        self.l1 = Cache(config.l1d)
         self.buffer = PrefetchBuffer(config.prefetch_buffer_blocks)
         self.metrics = CoverageMetrics()
         self._stream_useful: defaultdict[int, int] = defaultdict(int)
         self._streams_seen: set[int] = set()
-        self._miss_stream: list[tuple[int, int]] = []
 
     def run(self, trace: MemoryTrace, warmup: int = 0) -> SimulationResult:
         """Simulate the whole trace; ``warmup`` leading accesses train
         state but are excluded from the reported counters.
 
-        The L1 misses come from one lazy pass of the trace through
-        ``self.l1`` (:func:`repro.sim.fastpath.l1_misses`), consumed by
-        the same event loop :meth:`run_filtered` drives.  The pass
-        advances only as the loop asks for the next miss, so when a
-        miss is processed the cache holds exactly the blocks the loop's
-        residency set does.
+        Builds the trace's L1 filter
+        (:func:`~repro.sim.fastpath.build_l1_filter`) and replays it with
+        :meth:`run_filtered` — the engine has no other L1-miss feed.
         """
-        n_accesses = len(trace)
-        validate_warmup(warmup, n_accesses)
-        return self._replay(l1_misses(self.l1, trace), n_accesses, warmup,
-                            trace.name)
+        return self.run_filtered(build_l1_filter(trace, self.config), warmup)
 
     def run_filtered(self, filt: L1Filter, warmup: int = 0) -> SimulationResult:
-        """Replay only the L1 misses recorded in ``filt``.
+        """Replay the L1 misses recorded in ``filt``.
 
-        Bit-identical to :meth:`run` on the originating trace (pinned
-        against the per-access reference simulator in ``tests/sim/``):
-        prefetches never fill the L1, so its hit/miss split and
-        eviction sequence are prefetcher-independent and
-        :func:`repro.sim.fastpath.build_l1_filter` precomputes them once
-        per ``(trace, l1 config)``.  The simulator's own ``self.l1`` is
-        untouched — every L1 fact comes from the filter.
+        Bit-identical to a per-access loop over the originating trace
+        (pinned against the reference simulator in ``tests/sim/``):
+        prefetches never fill the L1, so its hit/miss split and eviction
+        sequence are prefetcher-independent, and every L1 fact comes
+        from the filter.
         """
-        n_accesses = filt.n_accesses
-        validate_warmup(warmup, n_accesses)
+        validate_warmup(warmup, filt.n_accesses)
         if _OBS.enabled:
             _OBS.counter(obs_names.MET_FASTPATH_REPLAYS).inc()
-        # One packed materialisation, cached on the filter — every cell
-        # sharing this filter (memo or store mmap) reuses the same rows.
-        return self._replay(filt.replay_rows(), n_accesses, warmup,
-                            filt.trace_name, mode="replay")
+        return self._replay(filt, warmup)
 
-    def _replay(self, rows: Iterable[Sequence[int]], n_accesses: int,
-                warmup: int, name: str, **span_attrs: str) -> SimulationResult:
-        """The engine's one event loop, over ``(index, pc, block,
-        evicted)`` L1-miss rows in access order.
+    def _replay(self, filt: L1Filter, warmup: int) -> SimulationResult:
+        """The engine's one event loop, over the ``(index, pc, block,
+        evicted)`` rows of ``filt`` in access order.
 
-        The loop walks the ~miss-rate fraction of accesses, maintains an
-        exact L1 residency set from the recorded evictions (all the
-        candidate filter needs), and reconstructs the hit counters
-        analytically.  Hits only ever incremented ``accesses`` and
-        ``l1_hits``, and the warm-up reset fires before the first miss
-        at or past ``warmup`` — exactly where a per-access loop resets.
+        The rows are converted slice by slice as the loop consumes them
+        (:meth:`~repro.sim.fastpath.L1Filter.replay_rows`).  The loop
+        walks the ~miss-rate fraction of accesses, maintains an exact L1
+        residency set from the recorded evictions (all the candidate
+        filter needs), and reconstructs the hit counters analytically.
+        Hits only ever incremented ``accesses`` and ``l1_hits``, and the
+        warm-up reset fires before the first miss at or past ``warmup``
+        — exactly where a per-access loop resets.
         """
+        n_accesses = filt.n_accesses
+        name = filt.trace_name
         prefetcher = self.prefetcher
         buffer = self.buffer
         metrics = self.metrics
@@ -192,9 +177,9 @@ class TraceSimulator:
         reset_at = warmup if warmup else NEVER
 
         with trace_span(obs_names.SPAN_SIMULATE, trace=name,
-                        accesses=n_accesses, **span_attrs), \
+                        accesses=n_accesses), \
                 timed("simulate", emit=False):
-            for i, pc, block, victim_block in rows:
+            for i, pc, block, victim_block in filt.replay_rows():
                 if i >= next_check:
                     cancel.checkpoint(i - published)
                     published = i
@@ -218,8 +203,6 @@ class TraceSimulator:
                     candidates = prefetcher.on_prefetch_hit(pc, block, entry.stream_id)
                 else:
                     metrics.misses += 1
-                    if self.collect_misses:
-                        self._miss_stream.append((pc, block))
                     if tracing:
                         n_miss += 1
                         if emit_debug:
@@ -310,7 +293,6 @@ class TraceSimulator:
         self.prefetcher.reset_traffic()
         self._stream_useful.clear()
         self._streams_seen.clear()
-        self._miss_stream.clear()
 
     def _finalise(self, workload_name: str) -> SimulationResult:
         self.buffer.drain()
@@ -331,25 +313,12 @@ class TraceSimulator:
             metrics=self.metrics,
             metadata=self.prefetcher.metadata,
             stream_lengths=lengths,
-            miss_stream=self._miss_stream if self.collect_misses else None,
             extras=extras,
         )
 
 
 def simulate_trace(trace: MemoryTrace, config: SystemConfig,
                    prefetcher: Prefetcher | None = None,
-                   collect_misses: bool = False,
                    warmup: int = 0) -> SimulationResult:
     """One-shot convenience wrapper around :class:`TraceSimulator`."""
-    sim = TraceSimulator(config, prefetcher, collect_misses=collect_misses)
-    return sim.run(trace, warmup=warmup)
-
-
-def collect_miss_stream(trace: MemoryTrace, config: SystemConfig) -> list[tuple[int, int]]:
-    """The baseline (no-prefetcher) L1-D miss sequence of a trace —
-    the input to Sequitur opportunity analysis and the Fig. 3/4 study."""
-    result = simulate_trace(trace, config, NullPrefetcher(config),
-                            collect_misses=True)
-    if result.miss_stream is None:  # collect_misses=True guarantees otherwise
-        raise SimulationError("simulate_trace dropped the requested miss stream")
-    return result.miss_stream
+    return TraceSimulator(config, prefetcher).run(trace, warmup=warmup)

@@ -25,12 +25,13 @@ residency set is bit-identical to running the full cache
 (:meth:`repro.sim.engine.TraceSimulator.run_filtered` carries the
 replay; ``tests/sim/test_fastpath.py`` pins the equivalence).
 
-Two build kernels produce identical filters: a closed-form numpy kernel
-for 2-way LRU sets (every shipped L1 config) and, for any other
-associativity, one scalar pass through the
-:class:`~repro.memory.cache.Cache` model — the pass
-:meth:`~repro.sim.engine.TraceSimulator.run` walks lazily through
-:func:`l1_misses` instead of building a filter.
+A filter is the engine's only L1-miss feed:
+:meth:`~repro.sim.engine.TraceSimulator.run` builds one and replays it,
+and :meth:`L1Filter.replay_rows` converts the columns to Python rows one
+:data:`REPLAY_SLICE` at a time, caching nothing.  Two build kernels
+produce identical filters: a closed-form numpy kernel for 2-way LRU sets
+(every shipped L1 config) and, for any other associativity, one scalar
+pass through the :class:`~repro.memory.cache.Cache` model.
 
 Filters persist as a JSON envelope plus a binary sidecar — a real
 ``.npy`` file of the four int64 columns written next to the envelope
@@ -45,11 +46,13 @@ encode, and replay filters.
 from __future__ import annotations
 
 import io
+import mmap
 import os
 import time
 import zlib
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -70,6 +73,9 @@ from .trace import MemoryTrace
 FASTPATH_VERSION = 2
 
 _ARRAY_FIELDS = ("indices", "pcs", "blocks", "evicted")
+
+#: Misses converted to Python rows per step of :meth:`L1Filter.replay_rows`.
+REPLAY_SLICE = 4096
 
 #: Binary sidecar codec marker: the envelope stays JSON, the four int64
 #: columns live in a ``.npy`` sidecar opened with ``mmap_mode="r"``.
@@ -101,10 +107,6 @@ class L1Filter:
     pcs: np.ndarray
     blocks: np.ndarray
     evicted: np.ndarray
-    #: Packed replay rows, built lazily once per filter object (see
-    #: :meth:`replay_rows`); never part of identity or comparisons.
-    _rows: list[list[int]] | None = field(default=None, init=False,
-                                          repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.indices)
@@ -129,23 +131,19 @@ class L1Filter:
     def miss_rate(self) -> float:
         return self.n_misses / self.n_accesses if self.n_accesses else 0.0
 
-    def replay_rows(self) -> list[list[int]]:
+    def replay_rows(self) -> Iterator[list[int]]:
         """``[index, pc, block, evicted]`` rows for the engine's replay.
 
-        One packed ``np.stack(...).tolist()`` materialisation, cached on
-        the filter, so every cell sharing a memoized/store-served filter
-        walks plain Python ints with zero per-cell prep.
+        Converted lazily, one :data:`REPLAY_SLICE`-miss
+        ``np.stack(...).tolist()`` at a time, so the replay walks plain
+        Python ints while at most one slice of rows is alive; nothing is
+        cached on the filter.
         """
-        rows = self._rows
-        if rows is None:
-            if self.n_misses:
-                rows = np.stack(
-                    (self.indices, self.pcs, self.blocks, self.evicted),
-                    axis=1).tolist()
-            else:
-                rows = []
-            object.__setattr__(self, "_rows", rows)
-        return rows
+        columns = (self.indices, self.pcs, self.blocks, self.evicted)
+        return chain.from_iterable(
+            np.stack([c[start:start + REPLAY_SLICE] for c in columns],
+                     axis=1).tolist()
+            for start in range(0, self.n_misses, REPLAY_SLICE))
 
 
 # -- build kernels ----------------------------------------------------------
@@ -158,23 +156,6 @@ def _cancel_checks() -> tuple[Any, int]:
         return None, NEVER
     cancel.raise_if_cancelled()
     return cancel, cancel.check_every
-
-
-def l1_misses(l1: Cache, trace: MemoryTrace) -> Iterator[tuple[int, int, int, int]]:
-    """Drive ``trace`` through ``l1``, yielding each miss lazily as an
-    ``(index, pc, block, evicted)`` row (``evicted`` is ``-1`` when the
-    set had a free way).
-
-    :meth:`~repro.sim.engine.TraceSimulator.run` feeds it straight to
-    the engine's event loop.  It checks no cancellation itself: the
-    loop's metered checkpoint has to see each miss first.
-    """
-    pcs, blocks, _, _ = trace.as_lists()
-    access = l1.access_traced
-    for i, block in enumerate(blocks):
-        hit, victim = access(block)
-        if not hit:
-            yield i, pcs[i], block, -1 if victim is None else victim
 
 
 def _build_arrays_scalar(
@@ -228,7 +209,9 @@ def _build_arrays_lru2(
 
     Everything reduces to run boundaries and previous-occurrence links,
     each one global stable sort or scan — no per-set work, no python
-    loop over accesses.
+    loop over accesses.  Each per-access temporary is dropped after its
+    last use, which holds the transient peak near ten int64 columns of
+    the trace's length.
     """
     blocks = np.ascontiguousarray(trace.blocks, dtype=np.int64)
     n = len(blocks)
@@ -248,13 +231,14 @@ def _build_arrays_lru2(
             cancel.raise_if_cancelled()
 
     checkpoint()
-    g = np.arange(n, dtype=np.int64)
     order = np.argsort(set_idx, kind="stable")
     sorted_sets = set_idx[order]
-    b_s = blocks[order]
     is_start = np.empty(n, dtype=bool)
     is_start[0] = True
     is_start[1:] = sorted_sets[1:] != sorted_sets[:-1]
+    del set_idx, sorted_sets
+    b_s = blocks[order]
+    g = np.arange(n, dtype=np.int64)
     sstart = np.maximum.accumulate(np.where(is_start, g, 0))
     checkpoint()
     # Previous occurrence of the same block, in set-grouped coords
@@ -265,35 +249,41 @@ def _build_arrays_lru2(
     if n > 1:
         same = bb[1:] == bb[:-1]
         prev_g[border[1:][same]] = border[:-1][same]
+    del border, bb
     checkpoint()
-    # Runs of consecutive equal blocks (set boundaries break runs).
-    change = is_start.copy()
+    # Runs of consecutive equal blocks (set boundaries break runs; the
+    # set-start mask is dead from here on, so it is extended in place).
+    change = is_start
     change[1:] |= b_s[1:] != b_s[:-1]
     run_start = np.maximum.accumulate(np.where(change, g, 0))
     run_id = np.cumsum(change)
-    has_prev = prev_g >= 0
-    prev1 = np.minimum(prev_g + 1, n - 1)
     gm1 = np.maximum(g - 1, 0)
-    hit = has_prev & ((prev_g == g - 1) | (run_id[prev1] == run_id[gm1]))
-    # Distinct blocks seen strictly earlier in the same set.
-    first = (~has_prev).astype(np.int64)
-    excl = np.cumsum(first) - first
-    seen = excl - excl[sstart]
-    miss = ~hit
-    evict = miss & (seen >= 2)
     # Victim = block of the last run before the current one: the
     # second most recently used distinct block (the first is b_s[g-1],
     # which a missing access never equals).
-    ldiff = np.maximum(run_start[gm1] - 1, 0)
-    victim_s = np.where(evict, b_s[ldiff], np.int64(-1))
+    before_run = b_s[np.maximum(run_start[gm1] - 1, 0)]
+    del b_s, run_start
+    has_prev = prev_g >= 0
+    hit = has_prev & ((prev_g == g - 1)
+                      | (run_id[np.minimum(prev_g + 1, n - 1)] == run_id[gm1]))
+    del g, gm1, prev_g, run_id
+    # Distinct blocks seen strictly earlier in the same set.
+    excl = np.cumsum(~has_prev) - ~has_prev
+    seen = excl - excl[sstart]
+    del has_prev, excl, sstart
+    miss = ~hit
+    victim_s = np.where(miss & (seen >= 2), before_run, np.int64(-1))
+    del hit, seen, before_run
     checkpoint()
     orig = order[miss]
+    victims = victim_s[miss]
+    del order, victim_s, miss
     merge = np.argsort(orig, kind="stable")
     indices = orig[merge]
     return (indices,
             np.ascontiguousarray(trace.pcs, dtype=np.int64)[indices],
             blocks[indices],
-            victim_s[miss][merge])
+            victims[merge])
 
 
 def build_l1_filter(trace: MemoryTrace, config: SystemConfig) -> L1Filter:
@@ -343,8 +333,8 @@ def filter_to_binary(filt: L1Filter) -> tuple[dict[str, Any], bytes]:
     ``(4, n_misses)`` little-endian int64 array (rows: indices, pcs,
     blocks, evicted), so any numpy can open it — including with
     ``mmap_mode="r"``, which is how workers load it zero-copy.  The
-    envelope records size and CRC so a mismatched or truncated sidecar
-    is detected before use.
+    envelope records size and CRC so a mismatched, truncated or
+    bit-flipped sidecar is detected before use.
     """
     packed = np.ascontiguousarray(
         np.stack([getattr(filt, fname) for fname in _ARRAY_FIELDS], axis=0),
@@ -370,8 +360,9 @@ def filter_from_payload(payload: dict[str, Any]) -> L1Filter:
     The payload must carry a ``sidecar_path`` (attached by
     :meth:`repro.runner.store.ResultStore.get` when it resolves the
     envelope's ``payload_path``).  Raises :class:`SimulationError` on
-    any structural mismatch so the caller can treat the artifact as a
-    miss, quarantine it, and rebuild from the trace.
+    any structural mismatch, or when the sidecar's bytes fail the
+    recorded CRC, so the caller can treat the artifact as a miss,
+    quarantine it, and rebuild from the trace.
     """
     if (payload.get("version") != FASTPATH_VERSION
             or payload.get("codec") != BINARY_CODEC):
@@ -409,4 +400,16 @@ def filter_from_payload(payload: dict[str, Any]) -> L1Filter:
         raise SimulationError(
             f"L1 filter sidecar shape mismatch: expected (4, {n_misses}) "
             f"<i8, found {arr.shape} {arr.dtype}")
+    # A same-size corruption passes every check above; the CRC catches
+    # it, read through a shared mapping of the page cache, not a copy.
+    try:
+        with open(path, "rb") as fh, \
+                mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
+            crc = zlib.crc32(view)
+    except (OSError, ValueError) as exc:
+        raise SimulationError(f"L1 filter sidecar unreadable: {exc}") from exc
+    if crc != payload.get("sidecar_crc32"):
+        raise SimulationError(
+            f"L1 filter sidecar CRC mismatch: recorded "
+            f"{payload.get('sidecar_crc32')!r}, found {crc}")
     return L1Filter(name, n_accesses, arr[0], arr[1], arr[2], arr[3])

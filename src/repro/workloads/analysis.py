@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ..config import SystemConfig
 from ..memory.block import page_of
 from ..sequitur.analysis import analyze_sequence
-from ..sim.engine import collect_miss_stream
+from ..sim.fastpath import build_l1_filter
 from ..sim.trace import MemoryTrace
 
 
@@ -55,8 +55,7 @@ def profile_trace(trace: MemoryTrace, config: SystemConfig | None = None,
     the prefix beyond that length.
     """
     config = config if config is not None else SystemConfig()
-    miss_stream = collect_miss_stream(trace, config)
-    miss_blocks = [block for _, block in miss_stream]
+    miss_blocks = build_l1_filter(trace, config).blocks.tolist()
 
     analysis = analyze_sequence(miss_blocks[:max_sequitur_misses])
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import CacheConfig
 from repro.experiments.common import (ExperimentContext, ExperimentOptions,
                                       gmean_speedup, mean)
 
@@ -18,9 +19,21 @@ def test_trace_cached_across_calls(options):
 
 def test_miss_stream_covers_measured_window_only(options):
     ctx = ExperimentContext(options)
-    misses = ctx.miss_stream("oltp")
-    assert 0 < len(misses) < options.n_accesses - options.warmup
-    assert ctx.miss_stream("oltp") is misses  # cached
+    window = ctx.l1_filter("oltp", start=options.warmup)
+    assert window.n_accesses == options.n_accesses - options.warmup
+    assert 0 < window.n_misses < window.n_accesses
+    assert ctx.l1_filter("oltp", start=options.warmup) is window  # memoised
+    assert ctx.miss_blocks("oltp") == window.blocks.tolist()
+    whole = ctx.l1_filter("oltp")
+    assert whole.n_accesses == options.n_accesses
+    # Configs that differ only in metadata tables share one filter; a
+    # different L1 gets its own.
+    tables = ctx.config.scaled(eit_rows=64, ht_entries=1 << 12)
+    assert ctx.l1_filter("oltp", tables) is whole
+    small_l1 = ctx.config.scaled(l1d=CacheConfig(16 * 1024, 2))
+    other = ctx.l1_filter("oltp", small_l1)
+    assert other is not whole
+    assert other.n_misses > whole.n_misses
 
 
 def test_run_prefetcher_uses_warmup(options):

@@ -9,7 +9,7 @@ import pytest
 
 from repro import SystemConfig, make_prefetcher, simulate_trace
 from repro.sequitur.analysis import analyze_sequence
-from repro.sim.engine import collect_miss_stream
+from repro.sim.fastpath import build_l1_filter
 from repro.workloads import default_suite
 
 N = 120_000
@@ -82,8 +82,7 @@ class TestPaperShapeDegree4:
 class TestOpportunity:
     def test_domino_captures_most_of_the_opportunity(self, suite, config):
         trace = suite.trace("oltp", N)
-        misses = [b for _, b in collect_miss_stream(
-            trace.slice(WARMUP, N), config)]
+        misses = build_l1_filter(trace.slice(WARMUP, N), config).blocks.tolist()
         opportunity = analyze_sequence(misses).opportunity
         domino = simulate_trace(trace, config,
                                 make_prefetcher("domino", config, degree=4),

@@ -46,10 +46,10 @@ def _reference_payloads(cells, options):
         trace = suite.trace(cell.workload, options.n_accesses)
         if cell.kind == "opportunity":
             window = trace.slice(warmup, len(trace))
-            result = ReferenceSimulator(
-                config, make_prefetcher("baseline", config),
-                collect_misses=True).run(window)
-            blocks = [block for _, block in result.miss_stream]
+            reference = ReferenceSimulator(config,
+                                           make_prefetcher("baseline", config))
+            reference.run(window)
+            blocks = [block for _, block in reference.misses]
             payloads.append({"opportunity": analyze_sequence(blocks).opportunity,
                              "n_misses": len(blocks)})
             continue
@@ -163,6 +163,30 @@ class TestCorruptFilterRecovery:
         store = ResultStore(cache)
         assert store.stats().n_quarantined >= 2  # envelope + sidecar pairs
         assert list(cache.glob("v*/*/*.bin"))    # fresh sidecars re-persisted
+
+
+    def test_flipped_sidecar_bit_quarantined_and_rebuilt(self, tiny_options,
+                                                         tmp_path):
+        cache = tmp_path / "store"
+        clean, _ = run_cells(_grid(), tiny_options,
+                             ExecutionPolicy(use_cache=True, cache_dir=cache))
+        # Flip one bit in the last ``evicted`` value of the full-trace
+        # filter (the larger of the two): same size, shape and dtype.
+        sidecar = max(cache.glob("v*/*/*.bin"), key=lambda p: p.stat().st_size)
+        data = bytearray(sidecar.read_bytes())
+        data[-8] ^= 1
+        sidecar.write_bytes(bytes(data))
+        for envelope in cache.glob("v*/*/*.json"):
+            if json.loads(envelope.read_text()).get("kind") != "l1_filter":
+                envelope.unlink()
+        execute_mod._FILTERS.clear()
+        again, _ = run_cells(_grid(), tiny_options,
+                             ExecutionPolicy(use_cache=True, cache_dir=cache))
+        assert again == clean
+        # One filter quarantined, its envelope and sidecar together.
+        store = ResultStore(cache)
+        assert store.stats().n_quarantined == 2
+        assert {p.stem for p in store.quarantine_dir.iterdir()} == {sidecar.stem}
 
 
 class TestWindowedFilters:

@@ -2,25 +2,49 @@
 of the trace engine compares against.
 
 :class:`ReferenceSimulator` keeps the engine's original loop — one
-iteration per trace access, with the real :class:`~repro.memory.cache.Cache`
-deciding every hit and filtering every prefetch candidate.  The engine
-itself runs one event loop over L1 misses, fed lazily from the trace by
-``TraceSimulator.run`` or from a precomputed filter by
-``TraceSimulator.run_filtered``; both must return results equal to this
-loop's.  :func:`reference_filter_rows` is the matching oracle for the
-filter build: a list-per-set LRU model that shares no code with
-``Cache``.
+iteration per trace access, with its own :class:`~repro.memory.cache.Cache`
+deciding every hit and filtering every prefetch candidate, and its own
+list of the uncovered misses.  The engine itself runs one event loop
+over the rows of an L1 filter, which ``TraceSimulator.run`` builds from
+the trace and ``TraceSimulator.run_filtered`` is handed; both must
+return results equal to this loop's.  :func:`reference_filter_rows` is
+the matching oracle for the filter build: a list-per-set LRU model that
+shares no code with ``Cache``.
 """
 
-from repro.config import CacheConfig, SystemConfig
+from repro.config import CacheConfig, SystemConfig, small_test_config
+from repro.memory.cache import Cache
+from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.registry import make_prefetcher
 from repro.sim.engine import SimulationResult, TraceSimulator
 from repro.sim.fastpath import L1Filter, build_l1_filter
 from repro.sim.trace import MemoryTrace, validate_warmup
 
 
+def ways_config(ways: int) -> SystemConfig:
+    """The small test config with an 8 KB L1 of ``ways`` ways."""
+    return small_test_config(l1d=CacheConfig(8 * 1024, ways, hit_latency=2))
+
+
+#: The test config's 2-way L1 plus ways 1 and 4 at the same 8 KB.  No
+#: shipped config uses 1 or 4, and every build for them takes the
+#: scalar pass, so pins over these cover both kernels.
+L1_CONFIGS = [ways_config(ways) for ways in (2, 1, 4)]
+
+
 class ReferenceSimulator(TraceSimulator):
-    """Steps every access through ``self.l1``; same state and results."""
+    """Steps every access through ``self.l1``; same results as the engine.
+
+    ``misses`` collects the ``(pc, block)`` of every uncovered miss
+    after the warm-up: under a ``NullPrefetcher`` that is the baseline
+    miss stream.
+    """
+
+    def __init__(self, config: SystemConfig,
+                 prefetcher: Prefetcher | None = None) -> None:
+        super().__init__(config, prefetcher)
+        self.l1 = Cache(config.l1d)
+        self.misses: list[tuple[int, int]] = []
 
     def run(self, trace: MemoryTrace, warmup: int = 0) -> SimulationResult:
         validate_warmup(warmup, len(trace))
@@ -31,6 +55,7 @@ class ReferenceSimulator(TraceSimulator):
         for i, (pc, block) in enumerate(zip(pcs, blocks, strict=True)):
             if i == warmup and warmup > 0:
                 self._reset_counters()
+                self.misses.clear()
             metrics = self.metrics
             metrics.accesses += 1
             if l1.access(block):
@@ -43,8 +68,7 @@ class ReferenceSimulator(TraceSimulator):
                 candidates = prefetcher.on_prefetch_hit(pc, block, entry.stream_id)
             else:
                 metrics.misses += 1
-                if self.collect_misses:
-                    self._miss_stream.append((pc, block))
+                self.misses.append((pc, block))
                 candidates = prefetcher.on_miss(pc, block)
             for sid in prefetcher.take_killed_streams():
                 buffer.invalidate_stream(sid)
@@ -84,7 +108,7 @@ def reference_filter_rows(trace: MemoryTrace,
 
 def assert_matches_reference(config: SystemConfig, trace: MemoryTrace,
                              name: str, degree: int | None = None,
-                             warmup: int = 0, collect_misses: bool = False,
+                             warmup: int = 0,
                              filt: L1Filter | None = None) -> SimulationResult:
     """Both engine entry points must equal the reference, bit for bit.
 
@@ -94,7 +118,7 @@ def assert_matches_reference(config: SystemConfig, trace: MemoryTrace,
     """
     def simulator(cls: type[TraceSimulator]) -> TraceSimulator:
         prefetcher = make_prefetcher(name, config, degree=degree)
-        return cls(config, prefetcher, collect_misses=collect_misses)
+        return cls(config, prefetcher)
 
     if filt is None:
         filt = build_l1_filter(trace, config)

@@ -6,7 +6,8 @@ from repro.errors import SimulationError
 from repro.prefetchers.base import NullPrefetcher, Prefetcher
 from repro.prefetchers.nextline import NextLinePrefetcher
 from repro.prefetchers.stms import StmsPrefetcher
-from repro.sim.engine import collect_miss_stream, simulate_trace
+from repro.sim.engine import simulate_trace
+from repro.sim.fastpath import build_l1_filter
 
 
 class ScriptedPrefetcher(Prefetcher):
@@ -135,8 +136,11 @@ class TestStreamFeedback:
 
 class TestMissStreamCollection:
     def test_collect_miss_stream_matches_baseline(self, config, trace_factory):
+        # With no prefetcher every L1 miss is uncovered, so the baseline
+        # miss stream is the filter's (pc, block) columns.
         trace = trace_factory([1, 2, 1, 2, 3], pcs=[9, 8, 9, 8, 7])
-        stream = collect_miss_stream(trace, config)
+        filt = build_l1_filter(trace, config)
+        stream = list(zip(filt.pcs.tolist(), filt.blocks.tolist()))
         assert stream == [(9, 1), (8, 2), (7, 3)]
 
     def test_simulation_result_summary(self, config, tiny_trace):

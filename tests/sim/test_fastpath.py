@@ -7,32 +7,23 @@ import json
 import numpy as np
 import pytest
 
-from repro.config import CacheConfig, small_test_config
 from repro.errors import SimulationError
 from repro.prefetchers.base import NullPrefetcher
 from repro.prefetchers.registry import prefetcher_names
-from repro.sim.engine import TraceSimulator, collect_miss_stream
-from repro.sim.fastpath import (BINARY_CODEC, FASTPATH_VERSION, L1Filter,
-                                build_l1_filter, build_l1_filter_scalar,
-                                filter_from_payload, filter_to_binary)
+from repro.sim.engine import TraceSimulator
+from repro.sim.fastpath import (BINARY_CODEC, FASTPATH_VERSION, REPLAY_SLICE,
+                                L1Filter, build_l1_filter,
+                                build_l1_filter_scalar, filter_from_payload,
+                                filter_to_binary)
 
-from .reference import assert_matches_reference, reference_filter_rows
+from .reference import (L1_CONFIGS, ReferenceSimulator,
+                        assert_matches_reference, reference_filter_rows,
+                        ways_config)
 
 FIELDS = ("indices", "pcs", "blocks", "evicted")
 
 PINNED_PREFETCHERS = ["baseline", "nextline", "stms", "digram", "domino",
                       "isb", "vldp"]
-
-
-def _ways_config(ways):
-    """The small test config with an 8 KB L1 of ``ways`` ways."""
-    return small_test_config(l1d=CacheConfig(8 * 1024, ways, hit_latency=2))
-
-
-#: The test config's 2-way L1 plus ways 1 and 4 at the same 8 KB.  No
-#: shipped config uses 1 or 4, and every build for them takes the
-#: scalar pass, so the pins below cover both kernels.
-L1_CONFIGS = [_ways_config(ways) for ways in (2, 1, 4)]
 
 
 def _assert_filter_matches_reference(filt, trace, config):
@@ -54,7 +45,9 @@ def _roundtrip(filt, tmp_path):
 class TestBuild:
     def test_filter_matches_baseline_miss_stream(self, config, tiny_trace):
         filt = build_l1_filter(tiny_trace, config)
-        expected = collect_miss_stream(tiny_trace, config)
+        reference = ReferenceSimulator(config, NullPrefetcher(config))
+        reference.run(tiny_trace)
+        expected = reference.misses
         assert list(zip(filt.pcs.tolist(), filt.blocks.tolist())) == expected
 
     def test_metadata_fields(self, config, tiny_trace):
@@ -90,7 +83,7 @@ class TestReplayEquivalence:
     def test_prefetchers_bit_identical(self, tiny_trace, name, warmup):
         for config in L1_CONFIGS:
             assert_matches_reference(config, tiny_trace, name, degree=4,
-                                     warmup=warmup, collect_misses=True)
+                                     warmup=warmup)
 
     @pytest.mark.parametrize("degree", [1, 8])
     def test_degrees_bit_identical(self, tiny_trace, degree):
@@ -129,6 +122,42 @@ class TestReplayEquivalence:
             sim.run(tiny_trace, warmup=len(tiny_trace))
 
 
+def _all_miss_trace(trace_factory, n):
+    """``n`` accesses that all miss the 2-way test L1: a 300-block loop
+    puts 4-5 blocks in every set, so no block survives until its reuse,
+    while the repetition still gives the temporal prefetchers hits."""
+    return trace_factory([i % 300 for i in range(n)])
+
+
+class TestReplaySlices:
+    """The streamed feed converts ``REPLAY_SLICE`` rows at a time; replay
+    must not notice where one slice ends and the next begins."""
+
+    @pytest.mark.parametrize("n_misses", [
+        0, REPLAY_SLICE - 1, REPLAY_SLICE, REPLAY_SLICE + 1,
+        2 * REPLAY_SLICE + 1])
+    def test_slice_boundaries_bit_identical(self, config, trace_factory,
+                                            n_misses):
+        trace = _all_miss_trace(trace_factory, n_misses)
+        filt = build_l1_filter(trace, config)
+        assert filt.n_misses == n_misses
+        columns = np.stack([getattr(filt, f) for f in FIELDS], axis=1)
+        assert list(filt.replay_rows()) == columns.tolist()
+        for name in ("stms", "domino"):
+            assert_matches_reference(config, trace, name, filt=filt)
+
+    def test_first_measured_miss_opens_a_slice(self, config, trace_factory):
+        trace = _all_miss_trace(trace_factory, 2 * REPLAY_SLICE + 1)
+        filt = build_l1_filter(trace, config)
+        # Every access misses, so the warm-up puts the first measured
+        # miss on row REPLAY_SLICE: the first row of the second slice.
+        assert filt.indices[REPLAY_SLICE] == REPLAY_SLICE
+        for name in ("stms", "domino"):
+            result = assert_matches_reference(config, trace, name,
+                                              warmup=REPLAY_SLICE, filt=filt)
+            assert result.metrics.prefetch_hits > 0
+
+
 def _empty_trace(trace_factory):
     return trace_factory([])
 
@@ -140,7 +169,7 @@ class TestModes:
 
     @pytest.mark.parametrize("ways", [1, 2, 4])
     def test_all_builders_match_scalar_reference(self, tiny_trace, ways):
-        config = _ways_config(ways)
+        config = ways_config(ways)
         built = build_l1_filter(tiny_trace, config)
         _assert_filter_matches_reference(built, tiny_trace, config)
         scalar = build_l1_filter_scalar(tiny_trace, config)
@@ -287,6 +316,18 @@ class TestBinaryCodec:
         payload, _ = _roundtrip(build_l1_filter(tiny_trace, config), tmp_path)
         payload["n_misses"] = payload["n_misses"] + 1
         with pytest.raises(SimulationError, match="shape mismatch"):
+            filter_from_payload(payload)
+
+    def test_flipped_sidecar_bit_rejected(self, config, tiny_trace, tmp_path):
+        # One flipped bit in the last ``evicted`` value keeps the size,
+        # shape and dtype; only the recorded CRC can catch it.
+        payload, data = filter_to_binary(build_l1_filter(tiny_trace, config))
+        flipped = bytearray(data)
+        flipped[-8] ^= 1
+        sidecar = tmp_path / "filter.bin"
+        sidecar.write_bytes(bytes(flipped))
+        payload["sidecar_path"] = str(sidecar)
+        with pytest.raises(SimulationError, match="CRC mismatch"):
             filter_from_payload(payload)
 
     def test_garbage_sidecar_rejected(self, config, tiny_trace, tmp_path):

@@ -17,6 +17,11 @@ ROOT = Path(__file__).resolve().parents[1]
 FOREIGN_FLAGS = {"--no-build-isolation", "--benchmark-only"}
 
 _FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+#: A backticked repo path: the whole span, or its first word.
+_PATH_RE = re.compile(
+    r"`((?:src|tests|benchmarks|scripts|examples|docs|perfbench)/[^`\s]*)[`\s]")
+#: Paths the docs name as illustrations, not as files.
+ILLUSTRATIVE_PATHS = {"src/repro/sim/x.py"}
 _SPEC_RE = re.compile(r"--inject-(?:net-)?faults\s+(\S+)")
 
 
@@ -112,3 +117,16 @@ def test_documented_fault_specs_parse():
     assert specs, "the docs give no fault-spec examples"
     for name, spec in specs:
         parse_fault_spec(spec)  # raises ConfigError on a stale example
+
+
+def test_every_documented_repo_path_exists():
+    # ``path::test`` names a test inside a file; ``*`` and ``{a,b}`` are
+    # patterns, not paths.
+    documented = {(name, match.split("::")[0])
+                  for name, text in _doc_texts().items()
+                  for match in _PATH_RE.findall(text)}
+    missing = sorted((name, path) for name, path in documented
+                     if "*" not in path and "{" not in path
+                     and path not in ILLUSTRATIVE_PATHS
+                     and not (ROOT / path).exists())
+    assert missing == []
