@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Chaos smoke: exercise the runner's fault-tolerance layer end to end.
 #
-# Four gates, all deterministic (fault rolls are pure functions of the
+# Five gates, all deterministic (fault rolls are pure functions of the
 # fault seed + cell key + attempt, so a passing combination passes on
 # every machine, forever):
 #
@@ -17,6 +17,9 @@
 #                      os._exit (the harshest worker death: no atexit,
 #                      no cleanup) must still reap every shared-memory
 #                      trace segment when the parent's scheduler exits.
+#   5. in-process    — fig09, whose cells run in the calling process,
+#      chaos           must survive the same crash chaos on retries:
+#                      the clean table, and at least one retried cell.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
@@ -88,5 +91,15 @@ if leaked:
     raise SystemExit(f"leaked shm segments after worker-kill chaos: {leaked}")
 print("no shared-memory segments leaked")
 EOF
+
+echo "== gate 5: in-process figure survives crash chaos on retries =="
+SWEEP="python -m repro.cli run fig09 --quick --n 8000 --workloads oltp --no-cache"
+$SWEEP > "$WORK/sweep-clean.txt"
+$SWEEP $CHAOS | tee "$WORK/sweep-chaos.txt"
+grep -q '^\[runner\].* [1-9][0-9]* retried' "$WORK/sweep-chaos.txt"
+grep -v '^\[runner\]\|^([0-9]' "$WORK/sweep-clean.txt" > "$WORK/sweep-clean-table.txt"
+grep -v '^\[runner\]\|^([0-9]' "$WORK/sweep-chaos.txt" > "$WORK/sweep-chaos-table.txt"
+diff -u "$WORK/sweep-clean-table.txt" "$WORK/sweep-chaos-table.txt"
+echo "in-process chaos run retried and matches the clean table"
 
 echo "chaos smoke: all gates passed"

@@ -153,7 +153,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .errors import CheckpointError, ConfigError
     from .faults import parse_fault_spec
     from .obs.trace import span
-    from .runner import ExecutionPolicy, set_policy
+    from .runner import ExecutionPolicy, get_policy, set_policy
     from .stats.reporting import bar_chart, render_manifest, to_csv, to_markdown
 
     if args.resume and args.run_id:
@@ -171,6 +171,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    tracing = _configure_obs(args)
+    run_scope = obs.scope("cli.run")
+    options = _options_from_args(args)
+    ids = experiment_ids() if args.experiment == "all" else [args.experiment]
+    failed_cells = 0
+    # The run's policy holds for this call only (restored below).
+    previous_policy = get_policy()
     set_policy(ExecutionPolicy(jobs=args.jobs,
                                use_cache=not args.no_cache,
                                cache_dir=args.cache_dir,
@@ -180,11 +187,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                run_id=run_id,
                                resume=bool(args.resume),
                                faults=faults))
-    tracing = _configure_obs(args)
-    run_scope = obs.scope("cli.run")
-    options = _options_from_args(args)
-    ids = experiment_ids() if args.experiment == "all" else [args.experiment]
-    failed_cells = 0
     try:
         for experiment_id in ids:
             start = time.time()
@@ -229,6 +231,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     finally:
         obs.disable()
+        set_policy(previous_policy)
     if failed_cells:
         print(f"warning: {failed_cells} cell(s) failed after retries; "
               "results above are partial (exit code 3)", file=sys.stderr)

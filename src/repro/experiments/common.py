@@ -20,10 +20,9 @@ from dataclasses import dataclass, field, replace
 from collections.abc import Sequence
 from typing import Any
 
-from ..config import CacheConfig, SystemConfig, timing_config
-from ..prefetchers.registry import make_prefetcher
-from ..sim.engine import SimulationResult, TraceSimulator
-from ..sim.fastpath import L1Filter, build_l1_filter
+from ..config import SystemConfig, timing_config
+from ..runner import ExecutionPolicy, get_policy
+from ..sim.fastpath import build_l1_filter
 from ..stats.tables import format_table
 from ..workloads.server import workload_names
 from ..workloads.suite import WorkloadSuite
@@ -70,8 +69,9 @@ class ExperimentResult:
     notes: str = ""
     #: Free-form machine-readable extras (per-workload series etc).
     series: dict = field(default_factory=dict)
-    #: :class:`repro.runner.manifest.RunManifest` when the experiment
-    #: went through the cell runner (cache/parallelism accounting).
+    #: :class:`repro.runner.manifest.RunManifest` of the experiment's
+    #: one ``run_cells`` call (cache/parallelism accounting); ``None``
+    #: for experiments that run no cells.
     manifest: Any = None
 
     def render(self) -> str:
@@ -88,11 +88,12 @@ class ExperimentResult:
 
 
 class ExperimentContext:
-    """Caches traces and their L1 filters across one experiment.
+    """Traces for the experiments that run no cells.
 
-    One filter per ``(workload, L1 geometry, window)`` serves every run:
-    the whole-trace filter is replayed for each prefetcher and table
-    size, and the measured-window filter is the baseline miss stream.
+    fig03 and fig04 read the baseline miss stream (:meth:`miss_blocks`);
+    fig06, ext01 and ext02 drive the timing model over :meth:`trace` and
+    :meth:`core_traces`.  Trace simulations and Sequitur analyses run as
+    :mod:`repro.runner` cells instead.
     """
 
     def __init__(self, options: ExperimentOptions) -> None:
@@ -100,10 +101,6 @@ class ExperimentContext:
         self.config = SystemConfig()
         self.timing = timing_config()
         self.suite = WorkloadSuite(seed=options.seed)
-        self._filters: dict[tuple[str, CacheConfig, int], L1Filter] = {}
-        #: Manifest of the most recent :meth:`run_cells` sweep (merged
-        #: across calls within one experiment).
-        self.last_manifest = None
 
     def trace(self, workload: str):
         return self.suite.trace(workload, self.options.n_accesses)
@@ -113,57 +110,20 @@ class ExperimentContext:
                                       self.options.per_core_accesses,
                                       n_cores=self.timing.n_cores)
 
-    def l1_filter(self, workload: str, config: SystemConfig | None = None,
-                  start: int = 0) -> L1Filter:
-        """The L1 filter of ``workload``'s trace from access ``start``
-        on (0 for the whole trace, ``options.warmup`` for the measured
-        window), built once per L1 geometry."""
-        cfg = config if config is not None else self.config
-        key = (workload, cfg.l1d, start)
-        filt = self._filters.get(key)
-        if filt is None:
-            trace = self.trace(workload)
-            if start:
-                trace = trace.slice(start, len(trace))
-            filt = self._filters[key] = build_l1_filter(trace, cfg)
-        return filt
-
     def miss_blocks(self, workload: str) -> list[int]:
         """Baseline miss blocks of the measured window: with no
-        prefetcher every L1 miss is uncovered, so they are the window
-        filter's ``blocks``."""
-        return self.l1_filter(workload, start=self.options.warmup).blocks.tolist()
+        prefetcher every L1 miss is uncovered, so they are the blocks of
+        the window's L1 filter."""
+        trace = self.trace(workload)
+        window = trace.slice(self.options.warmup, len(trace))
+        return build_l1_filter(window, self.config).blocks.tolist()
 
-    def run_prefetcher(self, workload: str, name: str,
-                       degree: int | None = None,
-                       config: SystemConfig | None = None,
-                       **kwargs: Any) -> SimulationResult:
-        """Trace-driven run with the standard warm-up protocol, replaying
-        the workload's whole-trace filter."""
-        options = self.options
-        cfg = config if config is not None else self.config
-        prefetcher = make_prefetcher(
-            name, cfg, degree=degree if degree is not None else options.degree,
-            **kwargs)
-        return TraceSimulator(cfg, prefetcher).run_filtered(
-            self.l1_filter(workload, cfg), warmup=options.warmup)
 
-    def run_cells(self, cells: Sequence[Any]) -> list[dict]:
-        """Execute a sweep of :class:`repro.runner.Cell` objects through
-        the scheduler (worker pool + artifact cache) and return their
-        payload dicts in input order.
-
-        Experiments adopt this incrementally: build the full cell list
-        up front, call ``run_cells`` once, then assemble rows from the
-        payloads.  The run's manifest accumulates on ``last_manifest``
-        so drivers can attach it to their :class:`ExperimentResult`.
-        """
-        from ..runner.scheduler import run_cells as _run_cells
-
-        payloads, manifest = _run_cells(cells, self.options)
-        self.last_manifest = (manifest if self.last_manifest is None
-                              else self.last_manifest.merged_with(manifest))
-        return payloads
+def in_process_policy() -> ExecutionPolicy:
+    """The installed execution policy with ``jobs=1``: the serial sweeps
+    keep its store and retries but never pool (pooling fig09 and fig10
+    nearly doubled their peak memory)."""
+    return replace(get_policy(), jobs=1)
 
 
 def payload_field(payload: Any, name: str, default: Any = float("nan")) -> Any:

@@ -8,28 +8,27 @@ exploit, and PC-localised ISB does worse than global-history STMS.
 
 from __future__ import annotations
 
-from ..sequitur.analysis import analyze_sequence
-from .common import ExperimentContext, ExperimentOptions, ExperimentResult, mean
+from ..runner import Cell, run_cells
+from .common import (ExperimentOptions, ExperimentResult, in_process_policy,
+                     mean, payload_field)
 
 
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
-    rows: list[list] = []
-    isb_covs: list[float] = []
-    stms_covs: list[float] = []
-    opps: list[float] = []
-    for workload in options.workloads:
-        isb = ctx.run_prefetcher(workload, "isb")
-        stms = ctx.run_prefetcher(workload, "stms")
-        opportunity = analyze_sequence(ctx.miss_blocks(workload)).opportunity
-        isb_covs.append(isb.coverage)
-        stms_covs.append(stms.coverage)
-        opps.append(opportunity)
-        rows.append([workload, round(isb.coverage, 3), round(stms.coverage, 3),
-                     round(opportunity, 3)])
-    rows.append(["average", round(mean(isb_covs), 3), round(mean(stms_covs), 3),
-                 round(mean(opps), 3)])
+    cells = [cell for workload in options.workloads for cell in (
+        Cell(kind="trace", workload=workload, prefetcher="isb"),
+        Cell(kind="trace", workload=workload, prefetcher="stms"),
+        Cell(kind="opportunity", workload=workload))]
+    payloads, manifest = run_cells(cells, options, in_process_policy())
+    # One row per workload: isb coverage, stms coverage, opportunity.
+    fields = ("coverage", "coverage", "opportunity")
+    payloads_iter = iter(payloads)
+    values = [[payload_field(next(payloads_iter), f) for f in fields]
+              for _ in options.workloads]
+    rows: list[list] = [[workload] + [round(v, 3) for v in row]
+                        for workload, row in zip(options.workloads, values)]
+    rows.append(["average"] + [round(mean([row[i] for row in values]), 3)
+                               for i in range(len(fields))])
     return ExperimentResult(
         experiment_id="fig01",
         title="Read-miss coverage of ISB and STMS vs Sequitur opportunity",
@@ -37,4 +36,5 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
         rows=rows,
         notes=("Paper shape: STMS < 47% of misses on average, ISB below "
                "STMS, both far below the Sequitur opportunity."),
+        manifest=manifest,
     )

@@ -8,27 +8,27 @@ pick.
 
 from __future__ import annotations
 
-from ..sequitur.analysis import analyze_sequence
-from .common import ExperimentContext, ExperimentOptions, ExperimentResult, mean
+from ..runner import Cell, run_cells
+from .common import (ExperimentOptions, ExperimentResult, in_process_policy,
+                     mean, payload_field)
 
 
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
-    rows: list[list] = []
-    per_prefetcher: dict[str, list[float]] = {"stms": [], "digram": [], "sequitur": []}
-    for workload in options.workloads:
-        stms = ctx.run_prefetcher(workload, "stms")
-        digram = ctx.run_prefetcher(workload, "digram")
-        seq = analyze_sequence(ctx.miss_blocks(workload))
-        lengths = [stms.stream_lengths.mean_length,
-                   digram.stream_lengths.mean_length,
-                   seq.mean_stream_length]
-        for key, value in zip(per_prefetcher, lengths, strict=True):
-            per_prefetcher[key].append(value)
-        rows.append([workload] + [round(v, 2) for v in lengths])
-    rows.append(["average"] + [round(mean(per_prefetcher[k]), 2)
-                               for k in per_prefetcher])
+    cells = [cell for workload in options.workloads for cell in (
+        Cell(kind="trace", workload=workload, prefetcher="stms"),
+        Cell(kind="trace", workload=workload, prefetcher="digram"),
+        Cell(kind="opportunity", workload=workload))]
+    payloads, manifest = run_cells(cells, options, in_process_policy())
+    # One row per workload: the stms, digram and Sequitur mean lengths.
+    columns = range(3)
+    payloads_iter = iter(payloads)
+    values = [[payload_field(next(payloads_iter), "mean_stream_length")
+               for _ in columns] for _ in options.workloads]
+    rows: list[list] = [[workload] + [round(v, 2) for v in row]
+                        for workload, row in zip(options.workloads, values)]
+    rows.append(["average"] + [round(mean([row[i] for row in values]), 2)
+                               for i in columns])
     return ExperimentResult(
         experiment_id="fig02",
         title="Average stream length with STMS, Digram, and Sequitur",
@@ -36,4 +36,5 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
         rows=rows,
         notes=("Paper shape: Sequitur streams longest (7.6 avg in the "
                "paper), Digram longer than STMS (1.4 avg in the paper)."),
+        manifest=manifest,
     )

@@ -9,7 +9,9 @@ to a plateau) is the reproduced result.
 
 from __future__ import annotations
 
-from .common import ExperimentContext, ExperimentOptions, ExperimentResult
+from ..runner import Cell, run_cells
+from .common import (ExperimentOptions, ExperimentResult, in_process_policy,
+                     payload_field)
 
 #: HT capacities swept, in triggering-event entries.
 HT_SIZES = (1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 24)
@@ -17,15 +19,14 @@ HT_SIZES = (1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 24)
 
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
-    rows: list[list] = []
-    for workload in options.workloads:
-        cells: list = [workload]
-        for ht_entries in HT_SIZES:
-            config = ctx.config.scaled(ht_entries=ht_entries, eit_rows=1 << 22)
-            result = ctx.run_prefetcher(workload, "domino", config=config)
-            cells.append(round(result.coverage, 3))
-        rows.append(cells)
+    cells = [Cell(kind="trace", workload=workload, prefetcher="domino",
+                  overrides=(("eit_rows", 1 << 22), ("ht_entries", ht_entries)))
+             for workload in options.workloads for ht_entries in HT_SIZES]
+    payloads, manifest = run_cells(cells, options, in_process_policy())
+    payloads_iter = iter(payloads)
+    rows = [[workload] + [round(payload_field(next(payloads_iter), "coverage"), 3)
+                          for _ in HT_SIZES]
+            for workload in options.workloads]
     return ExperimentResult(
         experiment_id="fig09",
         title="Domino coverage vs History Table entries (EIT unlimited)",
@@ -33,4 +34,5 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
         rows=rows,
         notes=("Paper shape: coverage grows with HT size and saturates; "
                "the paper deploys 16 M entries (85 MB)."),
+        manifest=manifest,
     )

@@ -8,7 +8,9 @@ shape is the result.
 
 from __future__ import annotations
 
-from .common import ExperimentContext, ExperimentOptions, ExperimentResult
+from ..runner import Cell, run_cells
+from .common import (ExperimentOptions, ExperimentResult, in_process_policy,
+                     payload_field)
 
 #: EIT row counts swept.
 EIT_ROWS = (1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 21)
@@ -16,15 +18,14 @@ EIT_ROWS = (1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 21)
 
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
-    rows: list[list] = []
-    for workload in options.workloads:
-        cells: list = [workload]
-        for eit_rows in EIT_ROWS:
-            config = ctx.config.scaled(eit_rows=eit_rows)
-            result = ctx.run_prefetcher(workload, "domino", config=config)
-            cells.append(round(result.coverage, 3))
-        rows.append(cells)
+    cells = [Cell(kind="trace", workload=workload, prefetcher="domino",
+                  overrides=(("eit_rows", eit_rows),))
+             for workload in options.workloads for eit_rows in EIT_ROWS]
+    payloads, manifest = run_cells(cells, options, in_process_policy())
+    payloads_iter = iter(payloads)
+    rows = [[workload] + [round(payload_field(next(payloads_iter), "coverage"), 3)
+                          for _ in EIT_ROWS]
+            for workload in options.workloads]
     return ExperimentResult(
         experiment_id="fig10",
         title="Domino coverage vs EIT rows (HT at deployed size)",
@@ -32,4 +33,5 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
         rows=rows,
         notes=("Paper shape: coverage grows with EIT rows and saturates; "
                "the paper deploys 2 M rows (128 MB)."),
+        manifest=manifest,
     )

@@ -13,9 +13,8 @@ so fig11 and fig13 share their Sequitur cells in the artifact cache.
 from __future__ import annotations
 
 from ..prefetchers.registry import PAPER_PREFETCHERS
-from ..runner import Cell
-from .common import (ExperimentContext, ExperimentOptions, ExperimentResult,
-                     mean, payload_field)
+from ..runner import Cell, run_cells
+from .common import ExperimentOptions, ExperimentResult, mean, payload_field
 
 
 def build_cells(options: ExperimentOptions, degree: int) -> list[Cell]:
@@ -31,8 +30,8 @@ def build_cells(options: ExperimentOptions, degree: int) -> list[Cell]:
 
 def run(options: ExperimentOptions | None = None, degree: int = 1) -> ExperimentResult:
     options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
-    payloads = iter(ctx.run_cells(build_cells(options, degree)))
+    payloads, manifest = run_cells(build_cells(options, degree), options)
+    payloads_iter = iter(payloads)
     rows: list[list] = []
     cov_acc: dict[str, list[float]] = {p: [] for p in PAPER_PREFETCHERS}
     over_acc: dict[str, list[float]] = {p: [] for p in PAPER_PREFETCHERS}
@@ -40,13 +39,13 @@ def run(options: ExperimentOptions | None = None, degree: int = 1) -> Experiment
     for workload in options.workloads:
         cells: list = [workload]
         for name in PAPER_PREFETCHERS:
-            payload = next(payloads)
+            payload = next(payloads_iter)
             coverage = payload_field(payload, "coverage")
             overpredictions = payload_field(payload, "overprediction_ratio")
             cov_acc[name].append(coverage)
             over_acc[name].append(overpredictions)
             cells.append(f"{coverage:.3f}/{overpredictions:.3f}")
-        opportunity = payload_field(next(payloads), "opportunity")
+        opportunity = payload_field(next(payloads_iter), "opportunity")
         opp_acc.append(opportunity)
         cells.append(round(opportunity, 3))
         rows.append(cells)
@@ -65,5 +64,5 @@ def run(options: ExperimentOptions | None = None, degree: int = 1) -> Experiment
         series={"coverage": {p: cov_acc[p] for p in PAPER_PREFETCHERS},
                 "overpredictions": {p: over_acc[p] for p in PAPER_PREFETCHERS},
                 "opportunity": opp_acc},
-        manifest=ctx.last_manifest,
+        manifest=manifest,
     )

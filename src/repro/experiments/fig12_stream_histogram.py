@@ -8,20 +8,23 @@ of the rest are shorter than eight.
 
 from __future__ import annotations
 
-from ..sequitur.analysis import analyze_sequence
-from ..stats.streamstats import DEFAULT_BINS, length_cdf
-from .common import ExperimentContext, ExperimentOptions, ExperimentResult
+from ..runner import Cell, run_cells
+from ..stats.streamstats import DEFAULT_BINS
+from .common import (ExperimentOptions, ExperimentResult, in_process_policy,
+                     payload_field)
 
 
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
+    cells = [Cell(kind="opportunity", workload=workload)
+             for workload in options.workloads]
+    payloads, manifest = run_cells(cells, options, in_process_policy())
     bin_labels = [f"<={b}" for b in DEFAULT_BINS] + [f"{DEFAULT_BINS[-1]}+"]
     rows: list[list] = []
-    for workload in options.workloads:
-        analysis = analyze_sequence(ctx.miss_blocks(workload))
-        cdf = length_cdf(analysis.stream_lengths.lengths)
-        rows.append([workload] + [round(cdf[label], 3) for label in bin_labels])
+    for workload, payload in zip(options.workloads, payloads, strict=True):
+        cdf = payload_field(payload, "length_cdf", default={})
+        rows.append([workload] + [round(cdf.get(label, float("nan")), 3)
+                                  for label in bin_labels])
     return ExperimentResult(
         experiment_id="fig12",
         title="Cumulative distribution of Sequitur temporal stream lengths",
@@ -29,4 +32,5 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
         rows=rows,
         notes=("Paper shape: 10-47% of streams have length <= 2; the "
                "majority are shorter than eight."),
+        manifest=manifest,
     )

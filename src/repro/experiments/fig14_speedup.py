@@ -14,9 +14,9 @@ prefetcher) including the baseline, under the scaled-LLC timing config.
 
 from __future__ import annotations
 
-from ..runner import Cell
-from .common import (ExperimentContext, ExperimentOptions, ExperimentResult,
-                     gmean_speedup, payload_field)
+from ..runner import Cell, run_cells
+from .common import (ExperimentOptions, ExperimentResult, gmean_speedup,
+                     payload_field)
 
 PREFETCHERS = ("vldp", "isb", "stms", "digram", "domino")
 
@@ -33,15 +33,15 @@ def build_cells(options: ExperimentOptions) -> list[Cell]:
 
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
-    payloads = iter(ctx.run_cells(build_cells(options)))
+    payloads, manifest = run_cells(build_cells(options), options)
+    payloads_iter = iter(payloads)
     rows: list[list] = []
     speedups: dict[str, list[float]] = {p: [] for p in PREFETCHERS}
     for workload in options.workloads:
-        baseline_ipc = payload_field(next(payloads), "ipc")
+        baseline_ipc = payload_field(next(payloads_iter), "ipc")
         cells: list = [workload, round(baseline_ipc, 3)]
         for name in PREFETCHERS:
-            ipc = payload_field(next(payloads), "ipc")
+            ipc = payload_field(next(payloads_iter), "ipc")
             speedup = ipc / baseline_ipc if baseline_ipc else 0.0
             speedups[name].append(speedup)
             cells.append(round(speedup, 3))
@@ -59,5 +59,5 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
                "workloads; little gain on high-MLP and short-stream "
                "workloads."),
         series={"speedups": speedups},
-        manifest=ctx.last_manifest,
+        manifest=manifest,
     )

@@ -9,32 +9,38 @@ reads because its single-address EIT lookups find matches more often.
 
 from __future__ import annotations
 
+from ..runner import Cell, run_cells
 from ..stats.bandwidth import BandwidthBreakdown
-from .common import ExperimentContext, ExperimentOptions, ExperimentResult, mean
+from .common import (ExperimentOptions, ExperimentResult, in_process_policy,
+                     mean, payload_field)
 
 PREFETCHERS = ("stms", "digram", "domino")
 
 
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
+    cells = [Cell(kind="trace", workload=workload, prefetcher=name)
+             for workload in options.workloads for name in PREFETCHERS]
+    payloads, manifest = run_cells(cells, options, in_process_policy())
+    payloads_iter = iter(payloads)
     rows: list[list] = []
     totals: dict[str, list[float]] = {p: [] for p in PREFETCHERS}
     for workload in options.workloads:
-        cells: list = [workload]
+        row: list = [workload]
         for name in PREFETCHERS:
-            result = ctx.run_prefetcher(workload, name)
-            breakdown = BandwidthBreakdown.from_run(
-                baseline_misses=result.metrics.triggering_events,
-                overpredictions=result.metrics.overpredictions,
-                metadata=result.metadata,
+            payload = next(payloads_iter)
+            breakdown = BandwidthBreakdown(
+                baseline_blocks=payload_field(payload, "triggering_events"),
+                incorrect_prefetch_blocks=payload_field(payload, "overpredictions"),
+                metadata_read_blocks=payload_field(payload, "metadata_reads"),
+                metadata_write_blocks=payload_field(payload, "metadata_writes"),
             )
             totals[name].append(breakdown.total_overhead)
-            cells.append(f"{breakdown.incorrect_prefetch_overhead:.2f}"
-                         f"+{breakdown.metadata_write_overhead:.2f}"
-                         f"+{breakdown.metadata_read_overhead:.2f}"
-                         f"={breakdown.total_overhead:.2f}")
-        rows.append(cells)
+            row.append(f"{breakdown.incorrect_prefetch_overhead:.2f}"
+                       f"+{breakdown.metadata_write_overhead:.2f}"
+                       f"+{breakdown.metadata_read_overhead:.2f}"
+                       f"={breakdown.total_overhead:.2f}")
+        rows.append(row)
     rows.append(["average"] + [round(mean(totals[p]), 2) for p in PREFETCHERS])
     return ExperimentResult(
         experiment_id="fig15",
@@ -47,4 +53,5 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
                "(overpredictions), Digram and Domino lowest; Domino reads "
                "less metadata than Digram."),
         series={"total_overhead": totals},
+        manifest=manifest,
     )

@@ -7,10 +7,9 @@ visible.
 
 from __future__ import annotations
 
-from ..runner import Cell
+from ..runner import Cell, run_cells
 from ..workloads.server import SERVER_WORKLOADS
-from .common import (ExperimentContext, ExperimentOptions, ExperimentResult,
-                     payload_field)
+from .common import ExperimentOptions, ExperimentResult, payload_field
 
 
 def run_table1(options: ExperimentOptions | None = None) -> ExperimentResult:
@@ -18,8 +17,9 @@ def run_table1(options: ExperimentOptions | None = None) -> ExperimentResult:
     defaults travel through the same cache/manifest machinery as the
     measured experiments (the rows depend only on the config, so the
     cell's cache key excludes the trace-shaping options)."""
-    ctx = ExperimentContext(options or ExperimentOptions())
-    (payload,) = ctx.run_cells([Cell(kind="table1")])
+    payloads, manifest = run_cells([Cell(kind="table1")],
+                                   options or ExperimentOptions())
+    (payload,) = payloads
     rows = payload_field(payload, "rows",
                          default=[["(unavailable)", "cell failed"]])
     return ExperimentResult(
@@ -27,7 +27,7 @@ def run_table1(options: ExperimentOptions | None = None) -> ExperimentResult:
         title="Evaluation parameters (Table I)",
         headers=["parameter", "value"],
         rows=rows,
-        manifest=ctx.last_manifest,
+        manifest=manifest,
     )
 
 

@@ -5,8 +5,9 @@ An experiment sweep decomposes into independent **cells** — one
 fans out across a ``multiprocessing`` worker pool and memoises in an
 on-disk artifact store keyed by a stable content hash.  Repeated and
 overlapping runs are incremental: a second ``domino-repro run all`` is
-near-instant, and experiments that sweep the same cells (fig11/fig13
-share their Sequitur-opportunity cells) pay for them once.
+near-instant, and experiments that sweep the same cells pay for them
+once (fig13's trace and opportunity cells serve fig01, fig02, fig12,
+fig15 and most of fig16).
 
 The engine is fault tolerant (see docs/ROBUSTNESS.md): worker crashes,
 hangs, and deaths are isolated to the cell that suffered them, retried

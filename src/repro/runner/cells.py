@@ -11,7 +11,7 @@ everything that determines its result:
 * :data:`CODE_VERSION` — a salt bumped whenever simulator or prefetcher
   semantics change in a way that invalidates previously cached results;
 * the cell itself (kind, workload, prefetcher, effective degree,
-  config overrides, extra params);
+  the config overrides that differ from the base config, extra params);
 * the full resolved :class:`~repro.config.SystemConfig` (so any config
   change — even a default changing in code — produces a new key);
 * the trace-shaping fields of
@@ -41,7 +41,7 @@ from ..errors import RunnerError
 #: Bump to invalidate every previously cached artifact (simulation
 #: semantics changed).  Mirrored in the artifact payloads written by
 #: :class:`repro.runner.store.ResultStore`.
-CODE_VERSION = 1
+CODE_VERSION = 2
 
 #: Cell kinds understood by :mod:`repro.runner.execute`.
 CELL_KINDS = ("trace", "opportunity", "multicore", "table1")
@@ -62,8 +62,8 @@ class Cell:
         workload's shared L1 filter.  Uses ``workload``, ``prefetcher``,
         ``degree`` (``None`` → the sweep's default).
     ``opportunity``
-        Sequitur opportunity of the baseline miss stream
-        (degree-independent — shared by fig11 and fig13).
+        Sequitur analysis of the baseline miss stream
+        (degree-independent — shared by fig01, fig02 and fig11–13).
     ``multicore``
         Quad-core cycle-accounting run
         (:func:`repro.sim.multicore.simulate_multicore`); ``prefetcher``
@@ -108,9 +108,13 @@ class Cell:
         return ":".join(parts)
 
 
+def _base_config(config_name: str) -> SystemConfig:
+    return SystemConfig() if config_name == "default" else timing_config()
+
+
 def cell_config(cell: Cell) -> SystemConfig:
     """Resolve the cell's :class:`SystemConfig` (base + overrides)."""
-    base = SystemConfig() if cell.config_name == "default" else timing_config()
+    base = _base_config(cell.config_name)
     overrides = dict(cell.overrides)
     return base.scaled(**overrides) if overrides else base
 
@@ -136,6 +140,11 @@ def cell_key(cell: Cell, options: "ExperimentOptionsLike") -> str:
     degree = cell.degree
     if degree is None and cell.kind == "trace":
         degree = options.degree
+    # An override equal to the base value changes nothing: fig10's
+    # deployed-size column is then the same artifact as fig13's domino.
+    base = _base_config(cell.config_name)
+    overrides = sorted((name, value) for name, value in cell.overrides
+                       if getattr(base, name, None) != value)
     material = {
         "v": CODE_VERSION,
         "cell": {
@@ -143,7 +152,7 @@ def cell_key(cell: Cell, options: "ExperimentOptionsLike") -> str:
             "workload": cell.workload,
             "prefetcher": cell.prefetcher,
             "degree": degree,
-            "overrides": _canonical(sorted(cell.overrides)),
+            "overrides": _canonical(overrides),
             "params": _canonical(sorted(cell.params)),
         },
         "config": _canonical(dataclasses.asdict(cell_config(cell))),
@@ -200,3 +209,5 @@ class ExperimentOptionsLike:  # pragma: no cover - typing aid only
     warmup_frac: float
     seed: int
     degree: int
+    warmup: int
+    per_core_accesses: int

@@ -6,11 +6,11 @@ picklable.  Payloads are plain JSON-serialisable dicts — exactly what
 the artifact store persists — so a cache hit and a fresh execution are
 indistinguishable to the caller.
 
-Each worker process keeps its own :class:`WorkloadSuite` per seed so
-that consecutive cells on the same workload reuse the generated trace
-(the in-process analogue of what ``ExperimentContext`` did serially).
-Trace generation is deterministic in (workload, length, seed), which is
-what makes parallel and serial execution bit-identical.
+Each process keeps its own :class:`WorkloadSuite` per seed and L1-filter
+memo, so consecutive cells on the same workload — in a pool worker, or
+across the in-process figures (fig09 then fig10) — reuse one trace and
+one filter.  Trace generation is deterministic in (workload, length,
+seed), which is what makes parallel and serial execution bit-identical.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from ..sim import fastpath
 from ..sim.engine import TraceSimulator
 from ..sim.multicore import simulate_multicore
 from ..sim.trace import MemoryTrace
+from ..stats.streamstats import length_cdf
 from ..workloads.suite import WorkloadSuite
 from .cells import Cell, cell_config, l1_filter_key
 from .shm import attach_trace, trace_share_key
@@ -143,10 +144,6 @@ def _l1_filter(workload: str, options: Any, config: SystemConfig,
     return filt
 
 
-def _warmup(options: Any) -> int:
-    return int(options.n_accesses * options.warmup_frac)
-
-
 def _execute_trace(cell: Cell, options: Any) -> dict[str, Any]:
     config = cell_config(cell)
     degree = cell.degree if cell.degree is not None else options.degree
@@ -154,16 +151,25 @@ def _execute_trace(cell: Cell, options: Any) -> dict[str, Any]:
                                  **dict(cell.params))
     filt = _l1_filter(cell.workload, options, config)
     result = TraceSimulator(config, prefetcher).run_filtered(
-        filt, warmup=_warmup(options))
-    return {
+        filt, warmup=options.warmup)
+    metrics = result.metrics
+    payload = {
         "coverage": result.coverage,
         "overprediction_ratio": result.overprediction_ratio,
         "accuracy": result.accuracy,
-        "misses": result.metrics.misses,
-        "prefetch_hits": result.metrics.prefetch_hits,
-        "prefetches_issued": result.metrics.prefetches_issued,
-        "accesses": result.metrics.accesses,
+        "misses": metrics.misses,
+        "prefetch_hits": metrics.prefetch_hits,
+        "prefetches_issued": metrics.prefetches_issued,
+        "accesses": metrics.accesses,
+        "overpredictions": metrics.overpredictions,
+        "triggering_events": metrics.triggering_events,
+        "metadata_reads": result.metadata.reads,
+        "metadata_writes": result.metadata.writes,
+        "mean_stream_length": result.stream_lengths.mean_length,
     }
+    if "component_hits" in result.extras:  # vldp+domino's split (fig16)
+        payload["component_hits"] = result.extras["component_hits"]
+    return payload
 
 
 def _execute_opportunity(cell: Cell, options: Any) -> dict[str, Any]:
@@ -171,13 +177,15 @@ def _execute_opportunity(cell: Cell, options: Any) -> dict[str, Any]:
     # With a NullPrefetcher the buffer never fills, so the baseline miss
     # stream over the measured window *is* the window's L1 filter — no
     # engine run needed.
-    bounds = (_warmup(options), options.n_accesses)
+    bounds = (options.warmup, options.n_accesses)
     filt = _l1_filter(cell.workload, options, config, window=bounds)
     blocks = filt.blocks.tolist()
     analysis = analyze_sequence(blocks)
     return {
         "opportunity": analysis.opportunity,
         "n_misses": len(blocks),
+        "mean_stream_length": analysis.mean_stream_length,
+        "length_cdf": length_cdf(analysis.stream_lengths.lengths),
     }
 
 

@@ -194,13 +194,3 @@ class RunManifest:
         except (KeyError, TypeError, ValueError) as exc:
             raise RunnerError(f"malformed manifest cell record: {exc}") from None
         return manifest
-
-    def merged_with(self, other: "RunManifest") -> "RunManifest":
-        """Combine accounting of two runs (e.g. sub-sweeps of one figure)."""
-        merged = RunManifest(jobs=max(self.jobs, other.jobs),
-                             cache_enabled=self.cache_enabled and other.cache_enabled,
-                             mode=self.mode if self.mode == other.mode else "mixed",
-                             run_id=self.run_id or other.run_id,
-                             wall_s=self.wall_s + other.wall_s)
-        merged.cells = [*self.cells, *other.cells]
-        return merged

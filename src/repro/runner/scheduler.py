@@ -368,8 +368,7 @@ def _trace_share_plan(pending: list[tuple[int, str, Cell]], options: Any,
             if cell.kind == "trace":
                 window = None
             else:
-                window = (int(options.n_accesses * options.warmup_frac),
-                          options.n_accesses)
+                window = (options.warmup, options.n_accesses)
             fkey = l1_filter_key(cell.workload, options, cell_config(cell),
                                  window=window)
             if store.path_for(fkey).exists():

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..memory.metadata import MetadataTraffic
 from .metrics import safe_div
 
 
@@ -22,16 +21,6 @@ class BandwidthBreakdown:
     incorrect_prefetch_blocks: int
     metadata_read_blocks: int
     metadata_write_blocks: int
-
-    @classmethod
-    def from_run(cls, baseline_misses: int, overpredictions: int,
-                 metadata: MetadataTraffic) -> "BandwidthBreakdown":
-        return cls(
-            baseline_blocks=baseline_misses,
-            incorrect_prefetch_blocks=overpredictions,
-            metadata_read_blocks=metadata.reads,
-            metadata_write_blocks=metadata.writes,
-        )
 
     def _ratio(self, blocks: int) -> float:
         return safe_div(blocks, self.baseline_blocks)

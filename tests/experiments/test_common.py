@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.config import CacheConfig
+from repro.config import SystemConfig
 from repro.experiments.common import (ExperimentContext, ExperimentOptions,
                                       gmean_speedup, mean)
+from repro.prefetchers.registry import make_prefetcher
+from repro.runner import Cell, ExecutionPolicy, run_cells
+from repro.sim.engine import simulate_trace
+from repro.sim.fastpath import build_l1_filter
 
 
 @pytest.fixture
@@ -19,34 +23,31 @@ def test_trace_cached_across_calls(options):
 
 def test_miss_stream_covers_measured_window_only(options):
     ctx = ExperimentContext(options)
-    window = ctx.l1_filter("oltp", start=options.warmup)
+    trace = ctx.trace("oltp")
+    window = build_l1_filter(trace.slice(options.warmup, len(trace)), ctx.config)
     assert window.n_accesses == options.n_accesses - options.warmup
     assert 0 < window.n_misses < window.n_accesses
-    assert ctx.l1_filter("oltp", start=options.warmup) is window  # memoised
     assert ctx.miss_blocks("oltp") == window.blocks.tolist()
-    whole = ctx.l1_filter("oltp")
-    assert whole.n_accesses == options.n_accesses
-    # Configs that differ only in metadata tables share one filter; a
-    # different L1 gets its own.
-    tables = ctx.config.scaled(eit_rows=64, ht_entries=1 << 12)
-    assert ctx.l1_filter("oltp", tables) is whole
-    small_l1 = ctx.config.scaled(l1d=CacheConfig(16 * 1024, 2))
-    other = ctx.l1_filter("oltp", small_l1)
-    assert other is not whole
-    assert other.n_misses > whole.n_misses
+    assert window.n_misses < build_l1_filter(trace, ctx.config).n_misses
 
 
-def test_run_prefetcher_uses_warmup(options):
-    ctx = ExperimentContext(options)
-    result = ctx.run_prefetcher("oltp", "stms")
-    assert result.metrics.accesses == options.n_accesses - options.warmup
+def test_trace_cell_uses_warmup(options):
+    cell = Cell(kind="trace", workload="oltp", prefetcher="stms")
+    (payload,), _ = run_cells([cell], options, ExecutionPolicy())
+    assert payload["accesses"] == options.n_accesses - options.warmup
 
 
-def test_run_prefetcher_accepts_config_override(options):
-    ctx = ExperimentContext(options)
-    config = ctx.config.scaled(eit_rows=64)
-    result = ctx.run_prefetcher("oltp", "domino", config=config)
-    assert result.prefetcher == "domino"
+def test_trace_cell_accepts_config_override(options):
+    cell = Cell(kind="trace", workload="oltp", prefetcher="domino",
+                overrides=(("eit_rows", 64),))
+    (payload,), _ = run_cells([cell], options, ExecutionPolicy())
+    config = SystemConfig().scaled(eit_rows=64)
+    expected = simulate_trace(
+        ExperimentContext(options).trace("oltp"), config,
+        make_prefetcher("domino", config, degree=options.degree),
+        warmup=options.warmup)
+    assert payload["coverage"] == expected.coverage
+    assert payload["metadata_reads"] == expected.metadata.reads
 
 
 def test_core_traces_shape(options):

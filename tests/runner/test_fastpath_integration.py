@@ -14,6 +14,7 @@ from repro.runner import Cell, ExecutionPolicy, ResultStore, run_cells
 from repro.runner import execute as execute_mod
 from repro.sequitur.analysis import analyze_sequence
 from repro.sim import fastpath
+from repro.stats.streamstats import length_cdf
 from repro.workloads.suite import WorkloadSuite
 
 from ..sim.reference import ReferenceSimulator
@@ -39,7 +40,7 @@ def _grid():
 def _reference_payloads(cells, options):
     """What each cell of ``cells`` must report, from the reference loop."""
     config = SystemConfig()  # the cells run the default config
-    warmup = int(options.n_accesses * options.warmup_frac)
+    warmup = options.warmup
     suite = WorkloadSuite(seed=options.seed)
     payloads = []
     for cell in cells:
@@ -50,8 +51,13 @@ def _reference_payloads(cells, options):
                                            make_prefetcher("baseline", config))
             reference.run(window)
             blocks = [block for _, block in reference.misses]
-            payloads.append({"opportunity": analyze_sequence(blocks).opportunity,
-                             "n_misses": len(blocks)})
+            analysis = analyze_sequence(blocks)
+            payloads.append({
+                "opportunity": analysis.opportunity,
+                "n_misses": len(blocks),
+                "mean_stream_length": analysis.mean_stream_length,
+                "length_cdf": length_cdf(analysis.stream_lengths.lengths),
+            })
             continue
         prefetcher = make_prefetcher(cell.prefetcher, config,
                                      degree=cell.degree)
@@ -65,6 +71,11 @@ def _reference_payloads(cells, options):
             "prefetch_hits": result.metrics.prefetch_hits,
             "prefetches_issued": result.metrics.prefetches_issued,
             "accesses": result.metrics.accesses,
+            "overpredictions": result.metrics.overpredictions,
+            "triggering_events": result.metrics.triggering_events,
+            "metadata_reads": result.metadata.reads,
+            "metadata_writes": result.metadata.writes,
+            "mean_stream_length": result.stream_lengths.mean_length,
         })
     return payloads
 

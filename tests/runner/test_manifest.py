@@ -114,9 +114,3 @@ class TestFailureStatuses:
         with pytest.raises(RunnerError, match="status"):
             manifest.record_failed("k", "cell", status="exploded",
                                    attempts=1, error="boom")
-
-    def test_merged_with_sums_failures(self):
-        left, right = self._mixed(), self._mixed()
-        merged = left.merged_with(right)
-        assert merged.failed == 4 and merged.retried == 2
-        assert merged.run_id == "r9"

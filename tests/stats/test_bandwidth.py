@@ -2,16 +2,14 @@
 
 import pytest
 
-from repro.memory.metadata import MetadataTraffic
 from repro.stats.bandwidth import BandwidthBreakdown
 
 
 def test_from_run_decomposition():
-    metadata = MetadataTraffic(index_reads=30, index_writes=10,
-                               history_reads=20, history_writes=5)
-    breakdown = BandwidthBreakdown.from_run(baseline_misses=100,
-                                            overpredictions=40,
-                                            metadata=metadata)
+    breakdown = BandwidthBreakdown(baseline_blocks=100,
+                                   incorrect_prefetch_blocks=40,
+                                   metadata_read_blocks=30 + 20,
+                                   metadata_write_blocks=10 + 5)
     assert breakdown.incorrect_prefetch_overhead == pytest.approx(0.4)
     assert breakdown.metadata_read_overhead == pytest.approx(0.5)
     assert breakdown.metadata_write_overhead == pytest.approx(0.15)

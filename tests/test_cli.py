@@ -16,6 +16,20 @@ def test_run_table1(capsys):
     assert "Evaluation parameters" in capsys.readouterr().out
 
 
+def test_run_restores_the_callers_policy(capsys):
+    """`run` installs its policy for the call only; a later experiment
+    in the same process must not pool or degrade under it."""
+    from repro.runner import ExecutionPolicy, get_policy, set_policy
+
+    previous = get_policy()
+    mine = set_policy(ExecutionPolicy(retries=1))
+    try:
+        assert main(["run", "table1", "--jobs", "3", "--no-cache"]) == 0
+        assert get_policy() is mine
+    finally:
+        set_policy(previous)
+
+
 def test_run_experiment_with_overrides(capsys):
     assert main(["run", "fig02", "--quick", "--n", "8000",
                  "--workloads", "oltp"]) == 0
