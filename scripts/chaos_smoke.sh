@@ -17,9 +17,12 @@
 #                      os._exit (the harshest worker death: no atexit,
 #                      no cleanup) must still reap every shared-memory
 #                      trace segment when the parent's scheduler exits.
-#   5. in-process    — fig09, whose cells run in the calling process,
-#      chaos           must survive the same crash chaos on retries:
-#                      the clean table, and at least one retried cell.
+#   5. figure chaos  — fig09, whose cells run in the calling process,
+#                      must survive the same crash chaos on retries:
+#                      the clean table, and at least one retried cell;
+#                      fig06, whose timing cells pool under --jobs 2,
+#                      must retry every cell once under crash@1 and
+#                      render the clean table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
@@ -92,7 +95,7 @@ if leaked:
 print("no shared-memory segments leaked")
 EOF
 
-echo "== gate 5: in-process figure survives crash chaos on retries =="
+echo "== gate 5: in-process and timing figures survive crash chaos on retries =="
 SWEEP="python -m repro.cli run fig09 --quick --n 8000 --workloads oltp --no-cache"
 $SWEEP > "$WORK/sweep-clean.txt"
 $SWEEP $CHAOS | tee "$WORK/sweep-chaos.txt"
@@ -101,5 +104,16 @@ grep -v '^\[runner\]\|^([0-9]' "$WORK/sweep-clean.txt" > "$WORK/sweep-clean-tabl
 grep -v '^\[runner\]\|^([0-9]' "$WORK/sweep-chaos.txt" > "$WORK/sweep-chaos-table.txt"
 diff -u "$WORK/sweep-clean-table.txt" "$WORK/sweep-chaos-table.txt"
 echo "in-process chaos run retried and matches the clean table"
+
+# crash@1 rather than $CHAOS: at this size crash:0.3,seed:1 rolls no
+# crash for any of fig06's three cells, so the gate would inject nothing.
+TIMING="python -m repro.cli run fig06 --quick --n 8000 --workloads oltp --no-cache"
+$TIMING > "$WORK/timing-clean.txt"
+$TIMING --jobs 2 --inject-faults crash@1 --retries 3 | tee "$WORK/timing-chaos.txt"
+grep -q '^\[runner\].* 3 retried, 0 FAILED | jobs=2 (pool)' "$WORK/timing-chaos.txt"
+grep -v '^\[runner\]\|^([0-9]' "$WORK/timing-clean.txt" > "$WORK/timing-clean-table.txt"
+grep -v '^\[runner\]\|^([0-9]' "$WORK/timing-chaos.txt" > "$WORK/timing-chaos-table.txt"
+diff -u "$WORK/timing-clean-table.txt" "$WORK/timing-chaos-table.txt"
+echo "pooled timing figure retried every cell and matches the clean table"
 
 echo "chaos smoke: all gates passed"

@@ -153,7 +153,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .errors import CheckpointError, ConfigError
     from .faults import parse_fault_spec
     from .obs.trace import span
-    from .runner import ExecutionPolicy, get_policy, set_policy
+    from .runner import (CheckpointJournal, ExecutionPolicy, ResultStore,
+                         get_policy, set_policy)
     from .stats.reporting import bar_chart, render_manifest, to_csv, to_markdown
 
     if args.resume and args.run_id:
@@ -188,6 +189,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                resume=bool(args.resume),
                                faults=faults))
     try:
+        if run_id and not args.resume:
+            # One run, one journal: started fresh here, appended to by
+            # every experiment's run_cells call.
+            CheckpointJournal.open(ResultStore(args.cache_dir).base, run_id).close()
         for experiment_id in ids:
             start = time.time()
             run_scope.info(obs_names.EVT_EXPERIMENT_START, experiment=experiment_id)

@@ -1,4 +1,4 @@
-"""Shared experiment plumbing: options, results, and cached helpers.
+"""Shared experiment plumbing: options, results, and shared table builders.
 
 All experiments follow the same measurement protocol:
 
@@ -20,12 +20,12 @@ from dataclasses import dataclass, field, replace
 from collections.abc import Sequence
 from typing import Any
 
-from ..config import SystemConfig, timing_config
-from ..runner import ExecutionPolicy, get_policy
-from ..sim.fastpath import build_l1_filter
+from ..runner import Cell, ExecutionPolicy, get_policy, run_cells
 from ..stats.tables import format_table
 from ..workloads.server import workload_names
-from ..workloads.suite import WorkloadSuite
+
+#: The deepest lookup the motivation study (Figs. 3–5) examines.
+MAX_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class ExperimentResult:
     series: dict = field(default_factory=dict)
     #: :class:`repro.runner.manifest.RunManifest` of the experiment's
     #: one ``run_cells`` call (cache/parallelism accounting); ``None``
-    #: for experiments that run no cells.
+    #: only for table2, which runs no cells.
     manifest: Any = None
 
     def render(self) -> str:
@@ -87,43 +87,61 @@ class ExperimentResult:
         return [row[idx] for row in self.rows]
 
 
-class ExperimentContext:
-    """Traces for the experiments that run no cells.
-
-    fig03 and fig04 read the baseline miss stream (:meth:`miss_blocks`);
-    fig06, ext01 and ext02 drive the timing model over :meth:`trace` and
-    :meth:`core_traces`.  Trace simulations and Sequitur analyses run as
-    :mod:`repro.runner` cells instead.
-    """
-
-    def __init__(self, options: ExperimentOptions) -> None:
-        self.options = options
-        self.config = SystemConfig()
-        self.timing = timing_config()
-        self.suite = WorkloadSuite(seed=options.seed)
-
-    def trace(self, workload: str):
-        return self.suite.trace(workload, self.options.n_accesses)
-
-    def core_traces(self, workload: str):
-        return self.suite.core_traces(workload,
-                                      self.options.per_core_accesses,
-                                      n_cores=self.timing.n_cores)
-
-    def miss_blocks(self, workload: str) -> list[int]:
-        """Baseline miss blocks of the measured window: with no
-        prefetcher every L1 miss is uncovered, so they are the blocks of
-        the window's L1 filter."""
-        trace = self.trace(workload)
-        window = trace.slice(self.options.warmup, len(trace))
-        return build_l1_filter(window, self.config).blocks.tolist()
-
-
 def in_process_policy() -> ExecutionPolicy:
     """The installed execution policy with ``jobs=1``: the serial sweeps
     keep its store and retries but never pool (pooling fig09 and fig10
     nearly doubled their peak memory)."""
     return replace(get_policy(), jobs=1)
+
+
+def lookup_depth_figure(options: ExperimentOptions, stat: str, *,
+                        experiment_id: str, title: str,
+                        notes: str) -> ExperimentResult:
+    """fig03's and fig04's table, ``stat`` per workload and lookup depth:
+    both read the same in-process ``lookup_depth`` cell per workload."""
+    cells = [Cell(kind="lookup_depth", workload=workload,
+                  params=(("max_depth", MAX_DEPTH),))
+             for workload in options.workloads]
+    payloads, manifest = run_cells(cells, options, in_process_policy())
+    rows: list[list] = []
+    per_depth: list[list[float]] = [[] for _ in range(MAX_DEPTH)]
+    for workload, payload in zip(options.workloads, payloads):
+        values = payload_field(payload, stat, default=[math.nan] * MAX_DEPTH)
+        for depth, value in enumerate(values):
+            per_depth[depth].append(value)
+        rows.append([workload] + [round(v, 3) for v in values])
+    rows.append(["average"] + [round(mean(vals), 3) for vals in per_depth])
+    return ExperimentResult(
+        experiment_id=experiment_id, title=title, notes=notes,
+        headers=["workload"] + [f"depth{d}" for d in range(1, MAX_DEPTH + 1)],
+        rows=rows, manifest=manifest)
+
+
+def speedup_table(cells: Sequence[Cell], labels: Sequence[str],
+                  prefetchers: Sequence[str], options: ExperimentOptions,
+                  gmean: bool = True) -> tuple[list[list], dict[str, list[float]], Any]:
+    """Rows of baseline IPC and speedup per prefetcher (Fig. 14's method,
+    shared by fig14, ext01 and ext02), each prefetcher's speedups and the
+    manifest.  ``cells`` holds, per label, its ``baseline`` cell and then
+    one cell per prefetcher; they run under the installed policy.
+    ``gmean`` appends the geometric-mean row."""
+    payloads, manifest = run_cells(cells, options)
+    payloads_iter = iter(payloads)
+    rows: list[list] = []
+    speedups: dict[str, list[float]] = {p: [] for p in prefetchers}
+    for label in labels:
+        baseline_ipc = payload_field(next(payloads_iter), "ipc")
+        row: list = [label, round(baseline_ipc, 3)]
+        for name in prefetchers:
+            ipc = payload_field(next(payloads_iter), "ipc")
+            speedup = ipc / baseline_ipc if baseline_ipc else 0.0
+            speedups[name].append(speedup)
+            row.append(round(speedup, 3))
+        rows.append(row)
+    if gmean:
+        rows.append(["gmean", ""] + [round(gmean_speedup(speedups[p]), 3)
+                                     for p in prefetchers])
+    return rows, speedups, manifest
 
 
 def payload_field(payload: Any, name: str, default: Any = float("nan")) -> Any:

@@ -6,12 +6,16 @@ prefetch after one serialised metadata round trip where STMS needs two
 is worth more cycles).  This experiment sweeps the memory latency on
 one workload and reports STMS vs Domino speedup at each point; the gap
 widening with latency is the predicted signature.
+
+Each point is a set of multicore cells with a ``memory_latency_ns``
+override; the 45 ns point is the timing config's own latency, so its
+cells are fig14's.
 """
 
 from __future__ import annotations
 
-from ..sim.multicore import simulate_multicore
-from .common import ExperimentContext, ExperimentOptions, ExperimentResult
+from ..runner import Cell
+from .common import ExperimentOptions, ExperimentResult, speedup_table
 
 LATENCIES_NS = (30.0, 45.0, 60.0, 90.0)
 PREFETCHERS = ("stms", "domino")
@@ -19,21 +23,15 @@ PREFETCHERS = ("stms", "domino")
 
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
     workload = options.workloads[0]
-    traces = ctx.core_traces(workload)
-    rows: list[list] = []
-    for latency in LATENCIES_NS:
-        config = ctx.timing.scaled(memory_latency_ns=latency)
-        baseline = simulate_multicore(traces, config, "baseline",
-                                      warmup_frac=options.warmup_frac)
-        cells: list = [f"{latency:g} ns", round(baseline.ipc, 3)]
-        for name in PREFETCHERS:
-            result = simulate_multicore(traces, config, name,
-                                        warmup_frac=options.warmup_frac)
-            cells.append(round(result.ipc / baseline.ipc, 3)
-                         if baseline.ipc else 0.0)
-        rows.append(cells)
+    cells = [Cell(kind="multicore", workload=workload, prefetcher=name,
+                  config_name="timing",
+                  overrides=(("memory_latency_ns", latency),))
+             for latency in LATENCIES_NS
+             for name in ("baseline",) + PREFETCHERS]
+    rows, _, manifest = speedup_table(
+        cells, [f"{latency:g} ns" for latency in LATENCIES_NS], PREFETCHERS,
+        options, gmean=False)
     return ExperimentResult(
         experiment_id="ext02",
         title=f"Extension: speedup vs memory latency ({workload})",
@@ -42,4 +40,5 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
         notes=("Predicted signature: both prefetchers gain more at higher "
                "latency, and Domino's one-round-trip first prefetch widens "
                "its edge over STMS as the round trip gets more expensive."),
+        manifest=manifest,
     )

@@ -7,30 +7,15 @@ paper's justification for stopping at two.
 
 from __future__ import annotations
 
-from ..prefetchers.multi_lookup import LookupDepthAnalyzer
-from .common import ExperimentContext, ExperimentOptions, ExperimentResult, mean
-
-MAX_DEPTH = 5
+from .common import ExperimentOptions, ExperimentResult, lookup_depth_figure
 
 
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
-    options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
-    rows: list[list] = []
-    per_depth: list[list[float]] = [[] for _ in range(MAX_DEPTH)]
-    for workload in options.workloads:
-        stats = LookupDepthAnalyzer(MAX_DEPTH).analyze(ctx.miss_blocks(workload))
-        values = [s.accuracy_given_match for s in stats]
-        for depth, value in enumerate(values):
-            per_depth[depth].append(value)
-        rows.append([workload] + [round(v, 3) for v in values])
-    rows.append(["average"] + [round(mean(vals), 3) for vals in per_depth])
-    return ExperimentResult(
+    return lookup_depth_figure(
+        options or ExperimentOptions(), "accuracy_given_match",
         experiment_id="fig03",
         title="Fraction of matching lookups that predict the next miss "
               "correctly, by lookup depth",
-        headers=["workload"] + [f"depth{d}" for d in range(1, MAX_DEPTH + 1)],
-        rows=rows,
         notes=("Paper shape: accuracy rises steeply from one to two "
                "addresses, then flattens beyond three."),
     )

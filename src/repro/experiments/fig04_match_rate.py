@@ -7,29 +7,14 @@ opportunity and Domino falls back to a single address.
 
 from __future__ import annotations
 
-from ..prefetchers.multi_lookup import LookupDepthAnalyzer
-from .common import ExperimentContext, ExperimentOptions, ExperimentResult, mean
-
-MAX_DEPTH = 5
+from .common import ExperimentOptions, ExperimentResult, lookup_depth_figure
 
 
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
-    options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
-    rows: list[list] = []
-    per_depth: list[list[float]] = [[] for _ in range(MAX_DEPTH)]
-    for workload in options.workloads:
-        stats = LookupDepthAnalyzer(MAX_DEPTH).analyze(ctx.miss_blocks(workload))
-        values = [s.match_rate for s in stats]
-        for depth, value in enumerate(values):
-            per_depth[depth].append(value)
-        rows.append([workload] + [round(v, 3) for v in values])
-    rows.append(["average"] + [round(mean(vals), 3) for vals in per_depth])
-    return ExperimentResult(
+    return lookup_depth_figure(
+        options or ExperimentOptions(), "match_rate",
         experiment_id="fig04",
         title="Fraction of lookups that find a match in the history, "
               "by lookup depth",
-        headers=["workload"] + [f"depth{d}" for d in range(1, MAX_DEPTH + 1)],
-        rows=rows,
         notes="Paper shape: match rate decreases monotonically with depth.",
     )

@@ -8,10 +8,8 @@ the benefit is realised at N = 2 — the design point Domino adopts.
 from __future__ import annotations
 
 from ..runner import Cell, run_cells
-from .common import (ExperimentOptions, ExperimentResult, in_process_policy,
-                     mean, payload_field)
-
-MAX_DEPTH = 5
+from .common import (MAX_DEPTH, ExperimentOptions, ExperimentResult,
+                     in_process_policy, mean, payload_field)
 
 
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:

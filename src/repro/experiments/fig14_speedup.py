@@ -14,40 +14,24 @@ prefetcher) including the baseline, under the scaled-LLC timing config.
 
 from __future__ import annotations
 
-from ..runner import Cell, run_cells
-from .common import (ExperimentOptions, ExperimentResult, gmean_speedup,
-                     payload_field)
+from ..runner import Cell
+from .common import ExperimentOptions, ExperimentResult, speedup_table
 
 PREFETCHERS = ("vldp", "isb", "stms", "digram", "domino")
 
 
 def build_cells(options: ExperimentOptions) -> list[Cell]:
     """The sweep: workloads × (baseline + prefetchers), timing config."""
-    cells: list[Cell] = []
-    for workload in options.workloads:
-        for name in ("baseline",) + PREFETCHERS:
-            cells.append(Cell(kind="multicore", workload=workload,
-                              prefetcher=name, config_name="timing"))
-    return cells
+    return [Cell(kind="multicore", workload=workload, prefetcher=name,
+                 config_name="timing")
+            for workload in options.workloads
+            for name in ("baseline",) + PREFETCHERS]
 
 
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    payloads, manifest = run_cells(build_cells(options), options)
-    payloads_iter = iter(payloads)
-    rows: list[list] = []
-    speedups: dict[str, list[float]] = {p: [] for p in PREFETCHERS}
-    for workload in options.workloads:
-        baseline_ipc = payload_field(next(payloads_iter), "ipc")
-        cells: list = [workload, round(baseline_ipc, 3)]
-        for name in PREFETCHERS:
-            ipc = payload_field(next(payloads_iter), "ipc")
-            speedup = ipc / baseline_ipc if baseline_ipc else 0.0
-            speedups[name].append(speedup)
-            cells.append(round(speedup, 3))
-        rows.append(cells)
-    rows.append(["gmean", ""] + [round(gmean_speedup(speedups[p]), 3)
-                                 for p in PREFETCHERS])
+    rows, speedups, manifest = speedup_table(
+        build_cells(options), options.workloads, PREFETCHERS, options)
     return ExperimentResult(
         experiment_id="fig14",
         title="Quad-core speedup over the no-prefetcher baseline "

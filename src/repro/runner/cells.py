@@ -44,7 +44,7 @@ from ..errors import RunnerError
 CODE_VERSION = 2
 
 #: Cell kinds understood by :mod:`repro.runner.execute`.
-CELL_KINDS = ("trace", "opportunity", "multicore", "table1")
+CELL_KINDS = ("trace", "opportunity", "lookup_depth", "timing", "multicore", "table1")
 
 #: Named base configurations a cell can request.
 CONFIG_NAMES = ("default", "timing")
@@ -64,10 +64,18 @@ class Cell:
     ``opportunity``
         Sequitur analysis of the baseline miss stream
         (degree-independent — shared by fig01, fig02 and fig11–13).
+    ``lookup_depth``
+        Fig. 3/4 lookup-depth statistics of the same miss stream
+        (``params`` carries ``max_depth``; shared by fig03 and fig04).
+    ``timing``
+        Single-core cycle-accounting run
+        (:meth:`repro.sim.timing.TimingSimulator.run`) over the
+        workload's trace; ``degree`` as for ``trace``.
     ``multicore``
         Quad-core cycle-accounting run
         (:func:`repro.sim.multicore.simulate_multicore`); ``prefetcher``
-        may be ``"baseline"``.
+        may be ``"baseline"`` and ``workload`` may name a
+        :data:`~repro.workloads.mixes.STANDARD_MIXES` entry.
     ``table1``
         Static rendering of the evaluated system parameters.
 
@@ -75,7 +83,8 @@ class Cell:
     = Table I, ``"timing"`` = the scaled-LLC cycle-model config) and
     ``overrides`` is a sorted tuple of ``(field, value)`` pairs applied
     on top via :meth:`SystemConfig.scaled`.  ``params`` carries
-    kind-specific extras (hashed, forwarded to the prefetcher factory).
+    kind-specific extras (hashed, forwarded to the prefetcher factory or
+    the lookup-depth analyzer).
     """
 
     kind: str
@@ -138,7 +147,7 @@ def cell_key(cell: Cell, options: "ExperimentOptionsLike") -> str:
     the experiments layer).
     """
     degree = cell.degree
-    if degree is None and cell.kind == "trace":
+    if degree is None and cell.kind in ("trace", "timing"):
         degree = options.degree
     # An override equal to the base value changes nothing: fig10's
     # deployed-size column is then the same artifact as fig13's domino.
@@ -167,6 +176,20 @@ def cell_key(cell: Cell, options: "ExperimentOptionsLike") -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def measured_window(cell: Cell,
+                    options: "ExperimentOptionsLike") -> tuple[int, int] | None:
+    """The trace slice a filter-reading cell's L1 filter covers.
+
+    The miss-stream analyses (``opportunity``, ``lookup_depth``) read
+    the measured window ``(warmup, n_accesses)`` alone; ``trace`` cells
+    replay the whole-trace filter (``None``) and skip the warm-up
+    themselves.
+    """
+    if cell.kind in ("opportunity", "lookup_depth"):
+        return (options.warmup, options.n_accesses)
+    return None
+
+
 def l1_filter_key(workload: str, options: "ExperimentOptionsLike",
                   config: SystemConfig,
                   window: tuple[int, int] | None = None) -> str:
@@ -177,10 +200,10 @@ def l1_filter_key(workload: str, options: "ExperimentOptionsLike",
     what identifies the trace — ``(workload, n_accesses, seed)``, since
     generation is deterministic in those three — plus the L1-D geometry
     it was filtered through and the optional ``window`` bounds when the
-    filter covers a trace slice (the opportunity cells' measured
-    window).  Deliberately **not** keyed on trace content: computing the
-    key without the trace is what lets a warm store skip generation
-    entirely.
+    filter covers a trace slice (the :func:`measured_window` that the
+    opportunity and lookup-depth cells read).  Deliberately **not**
+    keyed on trace content: computing the key without the trace is what
+    lets a warm store skip generation entirely.
 
     Both :data:`CODE_VERSION` and the fastpath's own
     :data:`~repro.sim.fastpath.FASTPATH_VERSION` salt the key, so either

@@ -1,13 +1,13 @@
 """Run-scoped checkpoint journals: crash-safe records of completed cells.
 
-A long sweep killed at 80% should not restart from zero.  The scheduler
-opens one :class:`CheckpointJournal` per ``--run-id`` and appends a line
-for every cell whose payload has been durably persisted to the artifact
-store.  Each append is flushed *and* fsync'd before the scheduler moves
-on, so after a SIGKILL the journal holds exactly the cells whose
-artifacts are safe on disk — ``domino-repro run --resume <run-id>``
-loads the journal, skips those cells, and reproduces bit-identical
-payloads from the store.
+A long sweep killed at 80% should not restart from zero.  A ``--run-id``
+run starts one :class:`CheckpointJournal`, and each of its ``run_cells``
+calls appends a line for every cell whose payload has been durably
+persisted to the artifact store.  Each append is flushed *and* fsync'd
+before the scheduler moves on, so after a SIGKILL the journal holds
+exactly the cells whose artifacts are safe on disk — ``domino-repro run
+--resume <run-id>`` loads the journal, skips those cells, and
+reproduces bit-identical payloads from the store.
 
 Layout (under the artifact-store base, ``.domino-cache/runs/`` by
 default)::
@@ -68,22 +68,23 @@ class CheckpointJournal:
 
     # -- construction ---------------------------------------------------
     @classmethod
-    def open(cls, base: str | Path, run_id: str,
-             resume: bool = False) -> "CheckpointJournal":
+    def open(cls, base: str | Path, run_id: str, resume: bool = False,
+             append: bool = False) -> "CheckpointJournal":
         """Open the journal for ``run_id`` under store base ``base``.
 
-        A fresh run truncates any stale journal with the same id; a
-        resumed run loads the completed-key set and keeps appending.
-        Raises :class:`CheckpointError` when resuming a run that never
-        checkpointed.
+        A fresh open truncates any stale journal with the same id; a
+        resumed one loads the completed-key set and keeps appending, and
+        raises :class:`CheckpointError` when the run never checkpointed.
+        ``append`` resumes a journal that exists and starts one that does
+        not: every ``run_cells`` call opens the run's journal that way.
         """
         validate_run_id(run_id)
         path = Path(base) / RUNS_DIR / f"{run_id}.ckpt"
         journal = cls(path, run_id)
-        if resume:
-            if not path.is_file():
-                raise CheckpointError(
-                    f"cannot resume run {run_id!r}: no checkpoint at {path}")
+        if resume and not path.is_file():
+            raise CheckpointError(
+                f"cannot resume run {run_id!r}: no checkpoint at {path}")
+        if resume or (append and path.is_file()):
             journal.seen = journal.load()
             journal._open_fh(truncate=False)
         else:

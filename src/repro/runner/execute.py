@@ -24,15 +24,19 @@ from ..config import SystemConfig
 from ..errors import RunnerError, SimulationError
 from ..obs import names as obs_names
 from ..obs.trace import span
+from ..prefetchers.base import Prefetcher
+from ..prefetchers.multi_lookup import LookupDepthAnalyzer
 from ..prefetchers.registry import make_prefetcher
 from ..sequitur.analysis import analyze_sequence
 from ..sim import fastpath
 from ..sim.engine import TraceSimulator
 from ..sim.multicore import simulate_multicore
+from ..sim.timing import TimingSimulator
 from ..sim.trace import MemoryTrace
 from ..stats.streamstats import length_cdf
+from ..workloads.mixes import STANDARD_MIXES, mix_traces
 from ..workloads.suite import WorkloadSuite
-from .cells import Cell, cell_config, l1_filter_key
+from .cells import Cell, cell_config, l1_filter_key, measured_window
 from .shm import attach_trace, trace_share_key
 
 #: Per-process workload suites, keyed by generation seed.
@@ -91,9 +95,22 @@ def _trace(workload: str, options: Any) -> MemoryTrace:
     return _suite(options.seed).trace(workload, options.n_accesses)
 
 
-def _l1_filter(workload: str, options: Any, config: SystemConfig,
-               window: tuple[int, int] | None = None) -> fastpath.L1Filter:
-    """The L1 filter for one ``(workload, options, l1 config[, window])``.
+def _core_traces(workload: str, options: Any,
+                 config: SystemConfig) -> list[MemoryTrace]:
+    """A multicore cell's per-core traces: ``workload`` on every core,
+    or one workload per core when it names a standard mix (ext01)."""
+    suite = _suite(options.seed)
+    if workload in STANDARD_MIXES:
+        return mix_traces(workload, options.per_core_accesses, suite=suite,
+                          seed=options.seed)
+    return suite.core_traces(workload, options.per_core_accesses,
+                             n_cores=config.n_cores)
+
+
+def _l1_filter(cell: Cell, options: Any) -> fastpath.L1Filter:
+    """The L1 filter a cell reads: its workload's trace, or the
+    :func:`~repro.runner.cells.measured_window` of it, through the
+    cell's L1 geometry.
 
     Resolution order: per-process memo, then the shared artifact store
     (``kind="l1_filter"``), then a fresh build from the generated trace
@@ -103,6 +120,8 @@ def _l1_filter(workload: str, options: Any, config: SystemConfig,
     """
     from .store import ResultStore
 
+    workload, window = cell.workload, measured_window(cell, options)
+    config = cell_config(cell)
     key = l1_filter_key(workload, options, config, window=window)
     filt = _FILTERS.get(key)
     if filt is not None:
@@ -144,14 +163,17 @@ def _l1_filter(workload: str, options: Any, config: SystemConfig,
     return filt
 
 
+def _prefetcher(cell: Cell, options: Any, config: SystemConfig) -> Prefetcher:
+    degree = cell.degree if cell.degree is not None else options.degree
+    return make_prefetcher(cell.prefetcher, config, degree=degree,
+                           **dict(cell.params))
+
+
 def _execute_trace(cell: Cell, options: Any) -> dict[str, Any]:
     config = cell_config(cell)
-    degree = cell.degree if cell.degree is not None else options.degree
-    prefetcher = make_prefetcher(cell.prefetcher, config, degree=degree,
-                                 **dict(cell.params))
-    filt = _l1_filter(cell.workload, options, config)
-    result = TraceSimulator(config, prefetcher).run_filtered(
-        filt, warmup=options.warmup)
+    simulator = TraceSimulator(config, _prefetcher(cell, options, config))
+    result = simulator.run_filtered(_l1_filter(cell, options),
+                                    warmup=options.warmup)
     metrics = result.metrics
     payload = {
         "coverage": result.coverage,
@@ -173,13 +195,10 @@ def _execute_trace(cell: Cell, options: Any) -> dict[str, Any]:
 
 
 def _execute_opportunity(cell: Cell, options: Any) -> dict[str, Any]:
-    config = cell_config(cell)
     # With a NullPrefetcher the buffer never fills, so the baseline miss
     # stream over the measured window *is* the window's L1 filter — no
-    # engine run needed.
-    bounds = (options.warmup, options.n_accesses)
-    filt = _l1_filter(cell.workload, options, config, window=bounds)
-    blocks = filt.blocks.tolist()
+    # engine run needed.  The same holds for lookup_depth cells.
+    blocks = _l1_filter(cell, options).blocks.tolist()
     analysis = analyze_sequence(blocks)
     return {
         "opportunity": analysis.opportunity,
@@ -189,11 +208,25 @@ def _execute_opportunity(cell: Cell, options: Any) -> dict[str, Any]:
     }
 
 
+def _execute_lookup_depth(cell: Cell, options: Any) -> dict[str, Any]:
+    stats = LookupDepthAnalyzer(**dict(cell.params)).analyze(
+        _l1_filter(cell, options).blocks.tolist())
+    return {"match_rate": [s.match_rate for s in stats],
+            "accuracy_given_match": [s.accuracy_given_match for s in stats]}
+
+
+def _execute_timing(cell: Cell, options: Any) -> dict[str, Any]:
+    config = cell_config(cell)
+    prefetcher = _prefetcher(cell, options, config)
+    result = TimingSimulator(config, prefetcher).run(
+        _trace(cell.workload, options), warmup_frac=options.warmup_frac)
+    return {"timeliness": result.timeliness, "prefetch_hits": result.prefetch_hits,
+            "first_prefetch_round_trips": prefetcher.first_prefetch_round_trips}
+
+
 def _execute_multicore(cell: Cell, options: Any) -> dict[str, Any]:
     config = cell_config(cell)
-    traces = _suite(options.seed).core_traces(cell.workload,
-                                              options.per_core_accesses,
-                                              n_cores=config.n_cores)
+    traces = _core_traces(cell.workload, options, config)
     result = simulate_multicore(traces, config, cell.prefetcher,
                                 warmup_frac=options.warmup_frac,
                                 **dict(cell.params))
@@ -234,6 +267,8 @@ def _execute_table1(cell: Cell, options: Any) -> dict[str, Any]:
 _EXECUTORS = {
     "trace": _execute_trace,
     "opportunity": _execute_opportunity,
+    "lookup_depth": _execute_lookup_depth,
+    "timing": _execute_timing,
     "multicore": _execute_multicore,
     "table1": _execute_table1,
 }

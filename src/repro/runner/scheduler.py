@@ -20,8 +20,9 @@ pool is torn down with ``terminate()``, innocent in-flight cells are
 resubmitted without penalty, and the hung cell is retried or failed.
 
 Checkpoint/resume: with ``policy.run_id`` set, every durably persisted
-cell key is journaled (atomic append + fsync) to
-``<cache>/runs/<run-id>.ckpt``; a resumed run loads the journal and
+cell key is appended (atomic append + fsync) to the run's journal
+``<cache>/runs/<run-id>.ckpt``, which ``domino-repro run`` starts fresh
+once for all its experiments; a resumed run loads the journal and
 serves those cells from the store, bit-identical.
 
 The execution policy (worker count, cache on/off, retries, timeout,
@@ -50,7 +51,7 @@ from ..errors import (CellFailedError, CheckpointError, JobCancelled,
 from ..faults import FaultPlan, corrupt_artifact
 from ..workloads.suite import WorkloadSuite
 from . import shm
-from .cells import Cell, cell_config, cell_key, l1_filter_key
+from .cells import Cell, cell_config, cell_key, l1_filter_key, measured_window
 from .checkpoint import CheckpointJournal
 from .execute import CellTelemetry, execute_timed
 from .manifest import RunManifest
@@ -362,15 +363,11 @@ def _trace_share_plan(pending: list[tuple[int, str, Cell]], options: Any,
     """
     needed: dict[str, str] = {}
     for _, _, cell in pending:
-        if cell.kind not in ("trace", "opportunity"):
+        if cell.kind not in ("trace", "opportunity", "lookup_depth"):
             continue
         if store is not None:
-            if cell.kind == "trace":
-                window = None
-            else:
-                window = (options.warmup, options.n_accesses)
             fkey = l1_filter_key(cell.workload, options, cell_config(cell),
-                                 window=window)
+                                 window=measured_window(cell, options))
             if store.path_for(fkey).exists():
                 continue
         spec_key = shm.trace_share_key(cell.workload, options.n_accesses,
@@ -621,7 +618,7 @@ def _run_cells(cells: Sequence[Cell], options: Any, policy: ExecutionPolicy,
                 "checkpointing requires the artifact cache "
                 "(run_id set with use_cache=False)")
         journal = CheckpointJournal.open(store.base, policy.run_id,
-                                         resume=policy.resume)
+                                         resume=policy.resume, append=True)
         if policy.resume:
             completed_keys = set(journal.seen)
             _OBS.info(obs_names.EVT_RUN_RESUMED, run_id=policy.run_id,

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from ..config import SystemConfig
 from ..memory.cache import Cache
 from ..memory.dram import BandwidthLedger
-from ..prefetchers.base import Prefetcher
 from ..prefetchers.registry import make_prefetcher
 from .timing import TimingResult, TimingSimulator
 from .trace import MemoryTrace
@@ -57,7 +56,6 @@ class MulticoreResult:
 
 def simulate_multicore(trace: MemoryTrace | list[MemoryTrace], config: SystemConfig,
                        prefetcher_name: str = "baseline",
-                       prefetcher_factory=None,
                        warmup_frac: float = 0.5,
                        **prefetcher_kwargs) -> MulticoreResult:
     """Run a workload across ``config.n_cores`` cores.
@@ -68,8 +66,8 @@ def simulate_multicore(trace: MemoryTrace | list[MemoryTrace], config: SystemCon
     trace that is split into contiguous slices.
 
     Each core gets its own prefetcher instance (the paper's metadata
-    tables are per core) built either by ``prefetcher_factory(config)``
-    or from the registry by name.  The leading ``warmup_frac`` of each
+    tables are per core), built from the registry by name with
+    ``prefetcher_kwargs``.  The leading ``warmup_frac`` of each
     core's trace warms caches and metadata tables and is excluded from
     the measurements (the SimFlex checkpoint-warming analogue).
     """
@@ -87,10 +85,7 @@ def simulate_multicore(trace: MemoryTrace | list[MemoryTrace], config: SystemCon
 
     cores: list[TimingSimulator] = []
     for core_slice in slices:
-        if prefetcher_factory is not None:
-            prefetcher: Prefetcher = prefetcher_factory(config)
-        else:
-            prefetcher = make_prefetcher(prefetcher_name, config, **prefetcher_kwargs)
+        prefetcher = make_prefetcher(prefetcher_name, config, **prefetcher_kwargs)
         sim = TimingSimulator(config, prefetcher, shared_llc=shared_llc,
                               shared_ledger=shared_ledger)
         sim.load(core_slice, warmup=int(len(core_slice) * warmup_frac))

@@ -12,7 +12,7 @@ from .analysis import WorkloadProfile, profile_trace
 from .base import WorkloadConfig
 from .synthetic import SyntheticWorkload, generate_trace
 from .server import SERVER_WORKLOADS, workload_names, get_workload
-from .mixes import STANDARD_MIXES, WorkloadMix, get_mix, mix_names, mix_traces
+from .mixes import STANDARD_MIXES, WorkloadMix, get_mix, mix_traces
 from .suite import WorkloadSuite, default_suite
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "STANDARD_MIXES",
     "WorkloadMix",
     "get_mix",
-    "mix_names",
     "mix_traces",
     "SyntheticWorkload",
     "WorkloadConfig",

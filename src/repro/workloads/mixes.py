@@ -10,7 +10,7 @@ the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import UnknownWorkloadError
 from ..sim.trace import MemoryTrace
@@ -43,10 +43,6 @@ STANDARD_MIXES: dict[str, WorkloadMix] = {
     "consolidated": WorkloadMix(
         "consolidated", ("oltp", "web_apache", "media_streaming", "mapreduce_w")),
 }
-
-
-def mix_names() -> list[str]:
-    return list(STANDARD_MIXES)
 
 
 def get_mix(name: str) -> WorkloadMix:

@@ -1,4 +1,4 @@
-"""Workload suite: iteration and trace caching across experiments.
+"""Workload suite: trace caching across experiments.
 
 Every figure in the paper sweeps the same nine workloads, and most
 experiments want the very same trace (same workload, length, seed) so
@@ -7,8 +7,6 @@ memoises generated traces keyed by (name, length, seed).
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 from ..sim.trace import MemoryTrace
 from .base import WorkloadConfig
@@ -52,14 +50,6 @@ class WorkloadSuite:
         own request stream (distinct generation seeds)."""
         return [self.trace(name, n_accesses, seed=self.seed + 1000 + core)
                 for core in range(n_cores)]
-
-    def traces(self, n_accesses: int) -> Iterator[tuple[str, MemoryTrace]]:
-        """Iterate (name, trace) over the whole suite."""
-        for name in self.configs:
-            yield name, self.trace(name, n_accesses)
-
-    def clear_cache(self) -> None:
-        self._traces.clear()
 
 
 def default_suite(seed: int = 1234) -> WorkloadSuite:

@@ -1,8 +1,12 @@
 """Experiment drivers: every registered experiment runs and produces a
 well-formed table at tiny sizes; a few shape assertions on the cheap ones."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro.experiments
 from repro.errors import UnknownExperimentError
 from repro.experiments import (ExperimentOptions, ExperimentResult,
                                experiment_ids, run_experiment)
@@ -13,8 +17,10 @@ TINY = ExperimentOptions(n_accesses=12_000, workloads=("oltp",), seed=7)
 CHEAP = ["table1", "table2", "fig01", "fig02", "fig03", "fig04", "fig06",
          "fig12", "fig15", "fig16"]
 #: Heavier sweeps, still run but on a single tiny workload.
-HEAVY = ["fig05", "fig09", "fig10", "fig11", "fig13", "fig14",
-         "ext01", "ext02"]
+HEAVY = ["fig05", "fig09", "fig10", "fig11", "fig13", "fig14"]
+#: The slowest sweeps (a 20k-access per-core floor) run once, in
+#: test_pins.py, which also checks their manifest.
+PINNED_ONLY = ["ext01", "ext02"]
 
 
 @pytest.mark.parametrize("experiment_id", CHEAP + HEAVY)
@@ -22,6 +28,8 @@ def test_experiment_runs_and_renders(experiment_id):
     result = run_experiment(experiment_id, TINY)
     assert isinstance(result, ExperimentResult)
     assert result.rows, f"{experiment_id} produced no rows"
+    # One experiment path: everything but the static table2 runs cells.
+    assert (result.manifest is None) == (experiment_id == "table2")
     text = result.render()
     assert result.title in text
     for header in result.headers:
@@ -35,6 +43,20 @@ def test_registry_complete():
     assert "fig11" in ids and "table1" in ids
     assert len(ids) == 18
     assert "ext01" in ids and "ext02" in ids
+    assert sorted(CHEAP + HEAVY + PINNED_ONLY) == sorted(ids)
+
+
+def test_drivers_import_no_simulation_engine():
+    """One experiment path: simulations and analyses run as runner cells."""
+    engines = {"TraceSimulator", "TimingSimulator", "simulate_multicore",
+               "analyze_sequence", "LookupDepthAnalyzer", "build_l1_filter",
+               "WorkloadSuite"}
+    for path in Path(repro.experiments.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        assert not imported & engines, path.name
 
 
 def test_unknown_experiment():

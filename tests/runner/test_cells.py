@@ -81,6 +81,16 @@ class TestCellKey:
         assert (key(cell, tiny_options)
                 != key(cell, tiny_options.scaled(degree=1)))
 
+    def test_timing_cell_degree_resolves_from_options(self, tiny_options):
+        """A timing cell runs at the sweep degree, so it must key on it."""
+        cell = Cell(kind="timing", workload="oltp", prefetcher="domino",
+                    config_name="timing")
+        explicit = Cell(kind="timing", workload="oltp", prefetcher="domino",
+                        config_name="timing", degree=1)
+        assert (key(cell, tiny_options)
+                != key(cell, tiny_options.scaled(degree=1)))
+        assert key(cell, tiny_options.scaled(degree=1)) == key(explicit, tiny_options)
+
     def test_opportunity_cells_are_degree_independent(self, tiny_options):
         cell = Cell(kind="opportunity", workload="oltp")
         assert (key(cell, tiny_options)

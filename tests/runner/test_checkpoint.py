@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.errors import CheckpointError
+from repro.experiments import run_experiment
 from repro.experiments.fig11_degree1 import build_cells
-from repro.runner import ExecutionPolicy, run_cells
+from repro.runner import ExecutionPolicy, run_cells, set_policy
 from repro.runner.checkpoint import (CheckpointJournal, RUNS_DIR,
                                      SCHEMA_VERSION, validate_run_id)
 
@@ -55,6 +56,12 @@ class TestJournalRoundTrip:
         resumed = CheckpointJournal.open(tmp_path, "r1", resume=True)
         assert resumed.seen == set()
         resumed.close()
+
+    def test_append_starts_a_missing_journal(self, tmp_path):
+        with CheckpointJournal.open(tmp_path, "r1", append=True) as journal:
+            journal.record("k1")
+        with CheckpointJournal.open(tmp_path, "r1", append=True) as journal:
+            assert journal.seen == {"k1"}
 
     def test_torn_tail_tolerated(self, tmp_path):
         """A SIGKILL mid-append leaves a partial last line; everything
@@ -151,6 +158,19 @@ class TestSchedulerIntegration:
                             run_id="r1", resume=True))
         assert manifest.hits == 0 and manifest.misses == 2
         assert payloads == first
+
+    def test_experiments_of_one_run_share_its_journal(self, tmp_path,
+                                                      tiny_options):
+        """Each experiment makes its own run_cells call; the second must
+        append to the run's journal, not truncate the first's records."""
+        set_policy(ExecutionPolicy(use_cache=True, cache_dir=tmp_path / "c",
+                                   run_id="demo"))
+        fig12 = run_experiment("fig12", tiny_options).manifest
+        fig09 = run_experiment("fig09", tiny_options).manifest
+        assert (fig12.n_cells, fig09.n_cells) == (1, 5)
+        journal = CheckpointJournal(tmp_path / "c" / RUNS_DIR / "demo.ckpt", "demo")
+        assert journal.load() == {c.key for c in fig12.cells + fig09.cells}
+        assert len(journal.path.read_text().splitlines()) == 1 + 6
 
     def test_run_id_requires_cache(self, tiny_options, sweep):
         with pytest.raises(CheckpointError, match="artifact cache"):

@@ -25,13 +25,10 @@ class TestSimulateMulticore:
             simulate_multicore([tiny_trace], config, "baseline")
 
     def test_factory_overrides_name(self, config, tiny_trace):
-        from repro.prefetchers.nextline import NextLinePrefetcher
-
-        result = simulate_multicore(
-            tiny_trace, config,
-            prefetcher_factory=lambda cfg: NextLinePrefetcher(cfg, degree=1),
-            warmup_frac=0.0)
+        result = simulate_multicore(tiny_trace, config, "nextline",
+                                    warmup_frac=0.0, degree=1)
         assert result.prefetcher == "nextline"
+        assert all(r.prefetcher == "nextline" for r in result.per_core)
 
     def test_bandwidth_utilization_bounded(self, config, tiny_trace):
         result = simulate_multicore(tiny_trace, config, "baseline",

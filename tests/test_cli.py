@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runner.checkpoint import RUNS_DIR, CheckpointJournal
 
 
 def test_list(capsys):
@@ -189,6 +190,15 @@ class TestRobustness:
         assert main(RUN_TINY + ["--cache-dir", cache,
                                 "--resume", "cli-r1"]) == 0
         assert "6 cache hits, 0 executed" in capsys.readouterr().out
+
+    def test_fresh_run_id_starts_a_new_journal(self, tmp_path, capsys):
+        base = tmp_path / "c"
+        with CheckpointJournal.open(base, "cli-r1") as stale:
+            stale.record("stale-key")
+        assert main(["run", "table1", "--cache-dir", str(base),
+                     "--run-id", "cli-r1"]) == 0
+        journal = CheckpointJournal(base / RUNS_DIR / "cli-r1.ckpt", "cli-r1")
+        assert len(journal.load()) == 1 and "stale-key" not in journal.load()
 
     def test_resume_unknown_run_is_usage_error(self, tmp_path, capsys):
         assert main(RUN_TINY + ["--cache-dir", str(tmp_path / "c"),

@@ -9,6 +9,7 @@ import pytest
 from repro.cli import build_parser
 from repro.experiments import experiment_ids
 from repro.faults import parse_fault_spec
+from repro.runner.cells import CELL_KINDS
 from repro.workloads import workload_names
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -130,3 +131,10 @@ def test_every_documented_repo_path_exists():
                      and path not in ILLUSTRATIVE_PATHS
                      and not (ROOT / path).exists())
     assert missing == []
+
+
+def test_runner_md_kind_row_names_every_cell_kind():
+    text = (ROOT / "docs" / "RUNNER.md").read_text()
+    (row,) = [line for line in text.splitlines() if line.startswith("| `kind`")]
+    named = re.findall(r"`(\w+)`", row.split("|")[2])
+    assert named == list(CELL_KINDS)

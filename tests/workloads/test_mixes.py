@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import UnknownWorkloadError
 from repro.workloads.mixes import (STANDARD_MIXES, WorkloadMix, get_mix,
-                                   mix_names, mix_traces)
+                                   mix_traces)
 
 
 def test_standard_mixes_are_four_core():
@@ -18,7 +18,7 @@ def test_mix_validation_rejects_unknown_workload():
 
 
 def test_get_mix_and_names():
-    assert "consolidated" in mix_names()
+    assert "consolidated" in STANDARD_MIXES
     assert get_mix("consolidated").per_core[0] == "oltp"
     with pytest.raises(UnknownWorkloadError):
         get_mix("nonexistent")

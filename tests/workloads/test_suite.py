@@ -19,13 +19,6 @@ def test_trace_memoisation(tiny_workload):
     assert c is not a
 
 
-def test_clear_cache(tiny_workload):
-    suite = WorkloadSuite({"tiny": tiny_workload}, seed=1)
-    a = suite.trace("tiny", 500)
-    suite.clear_cache()
-    assert suite.trace("tiny", 500) is not a
-
-
 def test_core_traces_distinct_but_same_library(tiny_workload):
     suite = WorkloadSuite({"tiny": tiny_workload}, seed=1)
     traces = suite.core_traces("tiny", 800, n_cores=4)
@@ -33,13 +26,6 @@ def test_core_traces_distinct_but_same_library(tiny_workload):
     assert not np.array_equal(traces[0].blocks, traces[1].blocks)
     shared = set(traces[0].blocks.tolist()) & set(traces[1].blocks.tolist())
     assert len(shared) > 50  # same hot documents
-
-
-def test_traces_iterates_all(tiny_workload):
-    suite = WorkloadSuite({"tiny": tiny_workload}, seed=1)
-    items = list(suite.traces(300))
-    assert [name for name, _ in items] == ["tiny"]
-    assert all(len(t) == 300 for _, t in items)
 
 
 def test_falls_back_to_server_registry():
