@@ -57,11 +57,10 @@ def _reset_process_caches() -> None:
     """Forget every in-process memo so a pass starts cold.
 
     Worker processes are forked from this one, so anything memoised
-    here (generated traces, decoded filters) would leak into both
-    passes and blur the comparison.
+    here (generated traces) would leak into both passes and blur the
+    comparison.
     """
     execute_mod._SUITES.clear()
-    execute_mod._FILTERS.clear()
     execute_mod.set_fastpath_root(None)
     execute_mod.set_trace_share(None)
 

@@ -52,7 +52,7 @@ def main() -> None:
 
     # 2. Which prefetcher fits?
     print(f"{'prefetcher':>12} {'coverage':>9} {'overpred':>9} {'accuracy':>9}")
-    for name in ("stride", "vldp", "isb", "stms", "digram", "domino"):
+    for name in ("vldp", "isb", "stms", "digram", "domino"):
         result = simulate_trace(trace, config, make_prefetcher(name, config),
                                 warmup=WARMUP)
         print(f"{name:>12} {result.coverage:>9.1%} "

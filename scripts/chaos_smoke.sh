@@ -21,8 +21,9 @@
 #                      must survive the same crash chaos on retries:
 #                      the clean table, and at least one retried cell;
 #                      fig06, whose timing cells pool under --jobs 2,
-#                      must retry every cell once under crash@1 and
-#                      render the clean table.
+#                      must retry every cell once under crash@1, render
+#                      the clean table and leave no shared-memory trace
+#                      segment behind (its cells share their trace).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
@@ -32,6 +33,21 @@ trap 'rm -rf "$WORK"' EXIT
 
 RUN="python -m repro.cli run fig11 --quick --n 8000 --workloads oltp"
 CHAOS="--inject-faults crash:0.3,seed:1 --retries 3"
+
+# The scheduler owns the shared-memory trace segments of a pooled run
+# and must unlink every one of them on its way out.
+assert_no_shm_leak () {
+  python - "$1" <<'EOF'
+import sys
+
+from repro.runner import shm
+
+leaked = shm.active_segments()
+if leaked:
+    raise SystemExit(f"leaked shm segments after {sys.argv[1]}: {leaked}")
+print("no shared-memory segments leaked")
+EOF
+}
 
 echo "== gate 1: crash chaos survives on retries =="
 $RUN --no-cache --jobs 4 $CHAOS | tee "$WORK/chaos-par.txt"
@@ -86,14 +102,7 @@ echo "== gate 4: worker kill -9 leaks no shared-memory segments =="
 $RUN --no-cache --jobs 2 \
   --inject-faults exit:0.4,seed:3 --retries 3 --timeout-s 5 \
   | tee "$WORK/chaos-exit.txt"
-python - <<'EOF'
-from repro.runner import shm
-
-leaked = shm.active_segments()
-if leaked:
-    raise SystemExit(f"leaked shm segments after worker-kill chaos: {leaked}")
-print("no shared-memory segments leaked")
-EOF
+assert_no_shm_leak "worker-kill chaos"
 
 echo "== gate 5: in-process and timing figures survive crash chaos on retries =="
 SWEEP="python -m repro.cli run fig09 --quick --n 8000 --workloads oltp --no-cache"
@@ -111,6 +120,7 @@ TIMING="python -m repro.cli run fig06 --quick --n 8000 --workloads oltp --no-cac
 $TIMING > "$WORK/timing-clean.txt"
 $TIMING --jobs 2 --inject-faults crash@1 --retries 3 | tee "$WORK/timing-chaos.txt"
 grep -q '^\[runner\].* 3 retried, 0 FAILED | jobs=2 (pool)' "$WORK/timing-chaos.txt"
+assert_no_shm_leak "pooled timing chaos"
 grep -v '^\[runner\]\|^([0-9]' "$WORK/timing-clean.txt" > "$WORK/timing-clean-table.txt"
 grep -v '^\[runner\]\|^([0-9]' "$WORK/timing-chaos.txt" > "$WORK/timing-chaos-table.txt"
 diff -u "$WORK/timing-clean-table.txt" "$WORK/timing-chaos-table.txt"

@@ -3,7 +3,7 @@
 The package provides:
 
 * the Domino prefetcher and every baseline the paper compares against
-  (STMS, Digram, idealised ISB, VLDP) plus classic references;
+  (STMS, Digram, idealised ISB, VLDP);
 * the substrate they run on: caches, prefetch buffer, DRAM/bandwidth
   model, off-chip metadata accounting;
 * synthetic server-workload generators standing in for the paper's

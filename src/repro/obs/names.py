@@ -101,7 +101,6 @@ MET_OVERPREDICTION = "overprediction"
 # -- sim.fastpath / runner.fastpath counters --------------------------------
 MET_FASTPATH_BUILDS = "fastpath_builds"          # filters built from a trace
 MET_FASTPATH_REPLAYS = "fastpath_replays"        # engine runs (all replay a filter)
-MET_FASTPATH_MEMO_HITS = "fastpath_memo_hits"    # filters reused in-process
 MET_FASTPATH_STORE_HITS = "fastpath_store_hits"  # filters loaded from the store
 
 # -- runner.shm counters -----------------------------------------------------

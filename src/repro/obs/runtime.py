@@ -57,8 +57,6 @@ class ObsConfig:
     sample_every: int = 1       # keep every Nth event per (component, event)
     ring: int = 100_000         # max in-memory events per process/cell
     profile: bool = False       # cProfile each runner cell
-    profile_top: int = 10       # rows kept per profiled cell
-    span_ring: int = 100_000    # max buffered finished spans per state
 
 
 @dataclass
@@ -69,13 +67,13 @@ class ObsState:
     config: ObsConfig
     registry: Registry
     trace: EventTrace
-    spans: "SpanSink" = field(default_factory=lambda: _new_span_sink(100_000))
+    spans: "SpanSink" = field(default_factory=lambda: _new_span_sink())
 
 
-def _new_span_sink(ring: int) -> "SpanSink":
+def _new_span_sink() -> "SpanSink":
     from .trace import SpanSink
 
-    return SpanSink(ring=ring)
+    return SpanSink()
 
 
 def _new_state(config: ObsConfig) -> ObsState:
@@ -83,7 +81,7 @@ def _new_state(config: ObsConfig) -> ObsState:
                     trace=EventTrace(level=config.level,
                                      sample_every=config.sample_every,
                                      ring=config.ring),
-                    spans=_new_span_sink(config.span_ring))
+                    spans=_new_span_sink())
 
 
 #: Process-global base state (None = telemetry off).

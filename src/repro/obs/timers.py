@@ -44,7 +44,11 @@ def timed(section: str, emit: bool = True) -> Iterator[None]:
                           cpu_s=round(cpu, 6))
 
 
-def profile_call(fn: Callable[..., Any], *args: Any, top: int = 10,
+#: Rows kept per profiled runner cell.
+PROFILE_TOP = 10
+
+
+def profile_call(fn: Callable[..., Any], *args: Any, top: int = PROFILE_TOP,
                  **kwargs: Any) -> tuple[Any, list[dict[str, Any]]]:
     """Run ``fn`` under cProfile; returns ``(result, top_rows)``.
 

@@ -66,6 +66,9 @@ from . import runtime
 _COUNTER = itertools.count(1)
 _COUNTER_LOCK = threading.Lock()
 
+#: Finished spans a sink buffers before it drops the oldest.
+SPAN_RING = 100_000
+
 
 def _new_id() -> str:
     with _COUNTER_LOCK:
@@ -116,7 +119,7 @@ class SpanSink:
     lock-free.
     """
 
-    def __init__(self, ring: int = 100_000) -> None:
+    def __init__(self, ring: int = SPAN_RING) -> None:
         if ring < 1:
             raise ValueError("ring must be >= 1")
         self.ring = ring

@@ -13,48 +13,35 @@ interface consumed by the simulators:
 * :mod:`repro.core.domino` — Domino itself (re-exported here).
 * :mod:`repro.prefetchers.multi_lookup` — idealised variable-depth
   lookup used by the motivation study (Figs. 3–5).
-* :mod:`repro.prefetchers.stride`, ``nextline``, ``markov``, ``ghb``,
-  ``sms``, ``best_offset`` — classic and related-work baselines for
-  examples and ablations (GHB G/DC, Spatial Memory Streaming, and
-  Best-Offset are all cited comparison points in the paper).
 * :mod:`repro.prefetchers.spatio_temporal` — the VLDP+Domino stack.
+
+These are exactly the designs the experiments run; the registry holds
+nothing else besides the no-prefetcher ``baseline``.
 """
 
 from ..core.domino import DominoPrefetcher
 from .base import Prefetcher, NullPrefetcher
-from .best_offset import BestOffsetPrefetcher
 from .digram import DigramPrefetcher
-from .ghb import GhbPrefetcher
 from .isb import IsbPrefetcher
-from .markov import MarkovPrefetcher
 from .multi_lookup import MultiLookupPrefetcher, LookupDepthAnalyzer
-from .nextline import NextLinePrefetcher
 from .registry import PREFETCHERS, make_prefetcher, prefetcher_names
-from .sms import SmsPrefetcher
 from .spatio_temporal import SpatioTemporalPrefetcher
 from .stms import StmsPrefetcher
-from .stride import StridePrefetcher
 from .temporal_base import GlobalHistoryPrefetcher
 from .vldp import VldpPrefetcher
 
 __all__ = [
-    "BestOffsetPrefetcher",
     "DigramPrefetcher",
-    "GhbPrefetcher",
     "DominoPrefetcher",
     "GlobalHistoryPrefetcher",
     "IsbPrefetcher",
     "LookupDepthAnalyzer",
-    "MarkovPrefetcher",
     "MultiLookupPrefetcher",
-    "NextLinePrefetcher",
     "NullPrefetcher",
     "PREFETCHERS",
-    "SmsPrefetcher",
     "Prefetcher",
     "SpatioTemporalPrefetcher",
     "StmsPrefetcher",
-    "StridePrefetcher",
     "VldpPrefetcher",
     "make_prefetcher",
     "prefetcher_names",

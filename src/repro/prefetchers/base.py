@@ -37,8 +37,6 @@ class Prefetcher(ABC):
     name: str = "base"
     #: Serialised off-chip metadata accesses before a stream's first prefetch.
     first_prefetch_round_trips: int = 0
-    #: Whether the design records the global miss history off chip.
-    is_temporal: bool = False
 
     def __init__(self, config: SystemConfig, degree: int | None = None) -> None:
         self.config = config
@@ -75,10 +73,6 @@ class Prefetcher(ABC):
     def reset_traffic(self) -> None:
         """Clear metadata counters (e.g. after warm-up)."""
         self.metadata.reset()
-
-    def describe(self) -> str:
-        """One-line human-readable description."""
-        return f"{self.name} (degree {self.degree})"
 
 
 class NullPrefetcher(Prefetcher):

@@ -30,7 +30,6 @@ class IsbPrefetcher(Prefetcher):
 
     name = "isb"
     first_prefetch_round_trips = 0  # idealised on-chip metadata
-    is_temporal = True
 
     def __init__(self, config: SystemConfig, degree: int | None = None) -> None:
         super().__init__(config, degree)

@@ -23,7 +23,7 @@ Two classes implement this:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import SystemConfig
 from ..core.stream import StreamTable
@@ -94,7 +94,6 @@ class MultiLookupPrefetcher(Prefetcher):
 
     name = "multi_lookup"
     first_prefetch_round_trips = 0  # idealised metadata
-    is_temporal = True
 
     def __init__(self, config: SystemConfig, degree: int | None = None,
                  depth: int = 2) -> None:

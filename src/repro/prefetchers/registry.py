@@ -4,6 +4,12 @@ Experiments and the CLI construct prefetchers by name; factories accept
 the system config, an optional degree override, and design-specific
 keyword arguments (e.g. ``unbounded`` for the temporal designs or
 ``depth`` for the multi-lookup prefetcher).
+
+The registry holds what the experiments run and nothing more: the
+no-prefetcher ``baseline`` of the multicore cells, the Section IV-D
+comparison set (:data:`PAPER_PREFETCHERS`), fig05's ``multi_lookup``
+and fig16's ``vldp+domino``.  A tier-1 test checks that the cells of
+the registered experiments use exactly these names.
 """
 
 from __future__ import annotations
@@ -15,29 +21,17 @@ from ..config import SystemConfig
 from ..core.domino import DominoPrefetcher
 from ..errors import UnknownPrefetcherError
 from .base import NullPrefetcher, Prefetcher
-from .best_offset import BestOffsetPrefetcher
 from .digram import DigramPrefetcher
-from .ghb import GhbPrefetcher
 from .isb import IsbPrefetcher
-from .markov import MarkovPrefetcher
 from .multi_lookup import MultiLookupPrefetcher
-from .nextline import NextLinePrefetcher
-from .sms import SmsPrefetcher
 from .spatio_temporal import SpatioTemporalPrefetcher
 from .stms import StmsPrefetcher
-from .stride import StridePrefetcher
 from .vldp import VldpPrefetcher
 
 Factory = Callable[..., Prefetcher]
 
 PREFETCHERS: dict[str, Factory] = {
     "baseline": NullPrefetcher,
-    "nextline": NextLinePrefetcher,
-    "stride": StridePrefetcher,
-    "markov": MarkovPrefetcher,
-    "ghb": GhbPrefetcher,
-    "bop": BestOffsetPrefetcher,
-    "sms": SmsPrefetcher,
     "vldp": VldpPrefetcher,
     "isb": IsbPrefetcher,
     "stms": StmsPrefetcher,

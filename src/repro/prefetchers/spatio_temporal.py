@@ -28,7 +28,6 @@ class SpatioTemporalPrefetcher(Prefetcher):
     name = "vldp+domino"
     #: Worst case for a new stream is Domino's single metadata round trip.
     first_prefetch_round_trips = 1
-    is_temporal = True
 
     _VLDP = 0
     _DOMINO = 1

@@ -35,7 +35,6 @@ _STREAM_END_THRESHOLD = 2
 class GlobalHistoryPrefetcher(Prefetcher):
     """Base class for STMS-like prefetchers over the global miss history."""
 
-    is_temporal = True
     first_prefetch_round_trips = 2  # IT read, then HT read (Fig. 6)
 
     def __init__(self, config: SystemConfig, degree: int | None = None,

@@ -6,11 +6,13 @@ picklable.  Payloads are plain JSON-serialisable dicts — exactly what
 the artifact store persists — so a cache hit and a fresh execution are
 indistinguishable to the caller.
 
-Each process keeps its own :class:`WorkloadSuite` per seed and L1-filter
-memo, so consecutive cells on the same workload — in a pool worker, or
-across the in-process figures (fig09 then fig10) — reuse one trace and
-one filter.  Trace generation is deterministic in (workload, length,
-seed), which is what makes parallel and serial execution bit-identical.
+Each process keeps its own :class:`WorkloadSuite` per seed, so
+consecutive cells on the same workload — in a pool worker, or across
+the in-process figures (fig09 then fig10) — reuse one trace.  L1
+filters are shared through the artifact store instead: every cell loads
+its workload's filter from the store, or builds and stores it.  Trace
+generation is deterministic in (workload, length, seed), which is what
+makes parallel and serial execution bit-identical.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Any
 from .. import obs
 from ..config import SystemConfig
 from ..errors import RunnerError, SimulationError
+from ..faults import FaultPlan
 from ..obs import names as obs_names
 from ..obs.trace import span
 from ..prefetchers.base import Prefetcher
@@ -38,15 +41,15 @@ from ..workloads.mixes import STANDARD_MIXES, mix_traces
 from ..workloads.suite import WorkloadSuite
 from .cells import Cell, cell_config, l1_filter_key, measured_window
 from .shm import attach_trace, trace_share_key
+from .store import ResultStore
 
-#: Per-process workload suites, keyed by generation seed.
+#: Per-process workload suites, keyed by generation seed.  Unbounded:
+#: traces have no store to reload from, and a bound waits for dispatch
+#: that groups a workload's cells onto one worker.
 _SUITES: dict[int, WorkloadSuite] = {}
 
-#: Per-process L1 filter memo, keyed by :func:`l1_filter_key`.
-_FILTERS: dict[str, fastpath.L1Filter] = {}
-
 #: Artifact-store root the fastpath shares filters through (set per
-#: work item by :func:`execute_timed`; ``None`` = in-process memo only).
+#: work item by :func:`execute_timed`; ``None`` = build every filter).
 _FASTPATH_ROOT: str | None = None
 
 #: Shared-memory trace spec published by the scheduler (set per work
@@ -107,27 +110,47 @@ def _core_traces(workload: str, options: Any,
                              n_cores=config.n_cores)
 
 
+#: Cell kinds whose executor reads its workload's L1 filter.
+_FILTER_KINDS = ("trace", "opportunity", "lookup_depth")
+
+
+def _filter_key(cell: Cell, options: Any) -> str:
+    return l1_filter_key(cell.workload, options, cell_config(cell),
+                         window=measured_window(cell, options))
+
+
+def reads_trace(cell: Cell, options: Any, store: ResultStore | None) -> bool:
+    """Whether executing ``cell`` reads its workload's generated trace.
+
+    ``timing`` cells always do.  Filter-reading cells do unless their
+    L1 filter is already in ``store``: a stored filter skips generation,
+    while a missing one is built from the trace by the first worker to
+    claim the cell (and concurrent workers on sibling cells race to do
+    the same).  ``multicore`` cells read per-core traces of other seeds,
+    and ``table1`` reads none.  The scheduler shares the traces this
+    names with its pool workers.
+    """
+    if cell.kind == "timing":
+        return True
+    if cell.kind not in _FILTER_KINDS:
+        return False
+    return store is None or not store.path_for(_filter_key(cell, options)).exists()
+
+
 def _l1_filter(cell: Cell, options: Any) -> fastpath.L1Filter:
     """The L1 filter a cell reads: its workload's trace, or the
     :func:`~repro.runner.cells.measured_window` of it, through the
     cell's L1 geometry.
 
-    Resolution order: per-process memo, then the shared artifact store
-    (``kind="l1_filter"``), then a fresh build from the generated trace
-    (persisted back to the store for every other cell, worker, and
-    ``--resume`` of the same grid).  A store hit skips trace generation
-    entirely — the key is computable without the trace.
+    Resolution order: the shared artifact store (``kind="l1_filter"``),
+    then a fresh build from the generated trace (persisted back to the
+    store for every other cell, worker, and ``--resume`` of the same
+    grid).  A store hit skips trace generation entirely — the key is
+    computable without the trace.  The store is the only cross-cell
+    filter cache; a load costs a small fraction of a build
+    (docs/FASTPATH.md §2).
     """
-    from .store import ResultStore
-
-    workload, window = cell.workload, measured_window(cell, options)
-    config = cell_config(cell)
-    key = l1_filter_key(workload, options, config, window=window)
-    filt = _FILTERS.get(key)
-    if filt is not None:
-        if _OBS.enabled:
-            _OBS.counter(obs_names.MET_FASTPATH_MEMO_HITS).inc()
-        return filt
+    key = _filter_key(cell, options)
     store = ResultStore(_FASTPATH_ROOT) if _FASTPATH_ROOT is not None else None
     if store is not None:
         payload = store.get(key, kind="l1_filter")
@@ -140,23 +163,21 @@ def _l1_filter(cell: Cell, options: Any) -> fastpath.L1Filter:
                 # Quarantine it like any other bad artifact — leaving
                 # it in place would re-trip every future reader and
                 # hide the evidence behind the rebuild's overwrite.
-                filt = None
                 store.quarantine_key(key, reason=str(exc))
                 _OBS.warning(obs_names.EVT_FASTPATH_FILTER_REJECTED,
-                             workload=workload, key=key[:12],
+                             workload=cell.workload, key=key[:12],
                              reason=str(exc))
-            if filt is not None:
-                _FILTERS[key] = filt
+            else:
                 if _OBS.enabled:
                     _OBS.counter(obs_names.MET_FASTPATH_STORE_HITS).inc()
                     _OBS.info(obs_names.EVT_FASTPATH_FILTER_HIT, source="store",
-                              workload=workload, misses=filt.n_misses)
+                              workload=cell.workload, misses=filt.n_misses)
                 return filt
-    trace = _trace(workload, options)
+    trace = _trace(cell.workload, options)
+    window = measured_window(cell, options)
     if window is not None:
         trace = trace.slice(*window)
-    filt = fastpath.build_l1_filter(trace, config)
-    _FILTERS[key] = filt
+    filt = fastpath.build_l1_filter(trace, cell_config(cell))
     if store is not None:
         payload, sidecar = fastpath.filter_to_binary(filt)
         store.put(key, payload, kind="l1_filter", sidecar=sidecar)
@@ -307,12 +328,16 @@ class CellTelemetry:
     spans: list[dict[str, Any]] = field(default_factory=list)
 
 
-def execute_timed(
-    item: tuple[int, str, Cell, Any] | tuple[int, str, Cell, Any, "obs.ObsConfig | None"] | tuple[Any, ...],
-) -> tuple[int, str, dict[str, Any], CellTelemetry]:
-    """Pool entry point:
-    ``(index, key, cell, options[, obs_config[, faults, attempt[,
-    fastpath_root[, trace_share]]]])`` in,
+#: One unit of work for :func:`execute_timed`: ``(index, key, cell,
+#: options, obs_config, faults, attempt, fastpath_root, trace_share)``.
+#: Serial and pool execution pass the same nine fields; the serial
+#: path's ``trace_share`` is ``None``.
+WorkItem = tuple[int, str, Cell, Any, obs.ObsConfig | None, FaultPlan | None,
+                 int, str | None, dict[str, dict[str, Any]] | None]
+
+
+def execute_timed(item: WorkItem) -> tuple[int, str, dict[str, Any], CellTelemetry]:
+    """Pool entry point: a :data:`WorkItem` in,
     ``(index, key, payload, telemetry)`` out.
 
     When an :class:`repro.obs.ObsConfig` rides along, the cell runs
@@ -326,12 +351,10 @@ def execute_timed(
     or worker death for ``(key, attempt)`` is deterministic, so serial
     and pool execution fail — and therefore retry — identically.
     """
-    index, key, cell, options = item[:4]
-    obs_config = item[4] if len(item) > 4 else None
-    faults = item[5] if len(item) > 5 else None
-    attempt = item[6] if len(item) > 6 else 0
-    set_fastpath_root(item[7] if len(item) > 7 else None)
-    set_trace_share(item[8] if len(item) > 8 else None)
+    (index, key, cell, options, obs_config, faults, attempt,
+     fastpath_root, trace_share) = item
+    set_fastpath_root(fastpath_root)
+    set_trace_share(trace_share)
     if faults is not None:
         faults.apply(key, attempt)
     wall0 = time.perf_counter()
@@ -340,7 +363,7 @@ def execute_timed(
         with span(obs_names.SPAN_CELL, cell=cell.label, attempt=attempt):
             if obs_config is not None and obs_config.profile:
                 payload, profile_rows = obs.profile_call(
-                    execute_cell, cell, options, top=obs_config.profile_top)
+                    execute_cell, cell, options)
             else:
                 payload = execute_cell(cell, options)
                 profile_rows = []

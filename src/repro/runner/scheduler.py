@@ -51,9 +51,9 @@ from ..errors import (CellFailedError, CheckpointError, JobCancelled,
 from ..faults import FaultPlan, corrupt_artifact
 from ..workloads.suite import WorkloadSuite
 from . import shm
-from .cells import Cell, cell_config, cell_key, l1_filter_key, measured_window
+from .cells import Cell, cell_key
 from .checkpoint import CheckpointJournal
-from .execute import CellTelemetry, execute_timed
+from .execute import CellTelemetry, execute_timed, reads_trace
 from .manifest import RunManifest
 from .store import ResultStore
 
@@ -67,6 +67,12 @@ _DISPATCH_GRACE_S = 0.25
 
 #: Pool poll interval while waiting for results (seconds).
 _POLL_S = 0.01
+
+#: Retry spacing: attempt ``n`` waits ``RETRY_BACKOFF_S * 2**n``, capped
+#: at ``RETRY_BACKOFF_MAX_S``, scaled by a deterministic jitter in
+#: ``[0.5, 1.5)`` (:func:`repro.backoff.backoff_delay`).
+RETRY_BACKOFF_S = 0.05
+RETRY_BACKOFF_MAX_S = 2.0
 
 
 @dataclass(frozen=True)
@@ -83,9 +89,9 @@ class ExecutionPolicy:
     behaviour):
 
     ``retries``
-        Retry budget per cell; attempt ``n`` waits
-        ``backoff_s * 2**n`` (capped at ``backoff_max_s``) scaled by a
-        deterministic jitter in ``[0.5, 1.5)`` before re-running.
+        Retry budget per cell; each retry waits the deterministic
+        backoff of :data:`RETRY_BACKOFF_S` / :data:`RETRY_BACKOFF_MAX_S`
+        before re-running.
     ``timeout_s``
         Per-cell wall-clock budget.  In pool mode a watchdog terminates
         the pool and retries the cell; in serial mode the overrun is
@@ -107,8 +113,6 @@ class ExecutionPolicy:
     use_cache: bool = False
     cache_dir: str | Path | None = None
     retries: int = 0
-    backoff_s: float = 0.05
-    backoff_max_s: float = 2.0
     timeout_s: float | None = None
     keep_going: bool = False
     run_id: str | None = None
@@ -120,8 +124,6 @@ class ExecutionPolicy:
             raise ValueError("jobs must be >= 1")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.backoff_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("backoff delays must be >= 0")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive (or None)")
         if self.resume and not self.run_id:
@@ -165,10 +167,10 @@ def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _backoff_delay(policy: ExecutionPolicy, key: str, attempt: int) -> float:
+def _backoff_delay(key: str, attempt: int) -> float:
     """Exponential backoff with deterministic jitter in [0.5x, 1.5x)."""
-    return backoff_delay(key, attempt, base_s=policy.backoff_s,
-                         max_s=policy.backoff_max_s)
+    return backoff_delay(key, attempt, base_s=RETRY_BACKOFF_S,
+                         max_s=RETRY_BACKOFF_MAX_S)
 
 
 def _attempt_failed(exc: BaseException, key: str, label: str, attempt: int,
@@ -180,7 +182,7 @@ def _attempt_failed(exc: BaseException, key: str, label: str, attempt: int,
         _OBS.warning(obs_names.EVT_CELL_TIMEOUT, cell=label, attempt=attempt + 1,
                      timeout_s=policy.timeout_s)
     if attempt < policy.retries:
-        delay = _backoff_delay(policy, key, attempt)
+        delay = _backoff_delay(key, attempt)
         _OBS.warning(obs_names.EVT_CELL_RETRY, cell=label, attempt=attempt + 1,
                      delay_s=round(delay, 4), error=_describe(exc))
         return "retry", delay
@@ -280,7 +282,7 @@ def _run_serial(pending: list[tuple[int, str, Cell]], options: Any,
                 with cancel_scope(cancel):
                     _, _, payload, telemetry = execute_timed(
                         (index, key, cell, options, obs_config,
-                         policy.faults, attempt, fastpath_root))
+                         policy.faults, attempt, fastpath_root, None))
                 elapsed = time.monotonic() - started
                 if (policy.timeout_s is not None
                         and elapsed > policy.timeout_s):
@@ -352,28 +354,11 @@ def _make_pool(processes: int) -> multiprocessing.pool.Pool | None:
 
 def _trace_share_plan(pending: list[tuple[int, str, Cell]], options: Any,
                       store: ResultStore | None) -> dict[str, str]:
-    """Spec key -> workload for traces some pool worker will generate.
-
-    A trace is needed unless the cell's L1 filter is already stored —
-    probed via :func:`l1_filter_key`, which is computable without the
-    trace bytes.  A filter that is *not* stored yet means the first
-    worker to claim the cell builds it from the trace (and concurrent
-    workers on sibling cells race to do the same), so the trace still
-    has to travel.
-    """
-    needed: dict[str, str] = {}
-    for _, _, cell in pending:
-        if cell.kind not in ("trace", "opportunity", "lookup_depth"):
-            continue
-        if store is not None:
-            fkey = l1_filter_key(cell.workload, options, cell_config(cell),
-                                 window=measured_window(cell, options))
-            if store.path_for(fkey).exists():
-                continue
-        spec_key = shm.trace_share_key(cell.workload, options.n_accesses,
-                                       options.seed)
-        needed[spec_key] = cell.workload
-    return needed
+    """Spec key -> workload for traces some pool worker will read
+    (:func:`~repro.runner.execute.reads_trace` decides per cell)."""
+    return {shm.trace_share_key(cell.workload, options.n_accesses,
+                                options.seed): cell.workload
+            for _, _, cell in pending if reads_trace(cell, options, store)}
 
 
 def _publish_trace_share(pending: list[tuple[int, str, Cell]], options: Any,

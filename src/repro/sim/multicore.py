@@ -1,6 +1,6 @@
 """Quad-core timing simulation (the Fig. 14 configuration).
 
-Four cores run slices of the same workload over a shared LLC and a
+Four cores, each replaying its own trace, run over a shared LLC and a
 shared off-chip channel.  The cores are interleaved in time order — at
 every step the core with the smallest local clock advances one access —
 so bandwidth contention between demand misses, prefetches, and metadata
@@ -54,16 +54,16 @@ class MulticoreResult:
         return hits / events if events else 0.0
 
 
-def simulate_multicore(trace: MemoryTrace | list[MemoryTrace], config: SystemConfig,
+def simulate_multicore(traces: list[MemoryTrace], config: SystemConfig,
                        prefetcher_name: str = "baseline",
                        warmup_frac: float = 0.5,
                        **prefetcher_kwargs) -> MulticoreResult:
     """Run a workload across ``config.n_cores`` cores.
 
-    ``trace`` is either a list of per-core traces (the realistic setup:
-    every core runs the full server application over its own requests,
-    e.g. same document library, different generation seeds) or a single
-    trace that is split into contiguous slices.
+    ``traces`` holds one trace per core: every core runs the full server
+    application over its own requests (same document library, different
+    generation seeds; see
+    :meth:`repro.workloads.suite.WorkloadSuite.core_traces`).
 
     Each core gets its own prefetcher instance (the paper's metadata
     tables are per core), built from the registry by name with
@@ -71,30 +71,24 @@ def simulate_multicore(trace: MemoryTrace | list[MemoryTrace], config: SystemCon
     core's trace warms caches and metadata tables and is excluded from
     the measurements (the SimFlex checkpoint-warming analogue).
     """
-    if isinstance(trace, list):
-        if len(trace) != config.n_cores:
-            raise ValueError(f"need {config.n_cores} per-core traces, "
-                             f"got {len(trace)}")
-        slices = trace
-        workload_name = trace[0].name
-    else:
-        slices = trace.split(config.n_cores)
-        workload_name = trace.name
+    if len(traces) != config.n_cores:
+        raise ValueError(f"need {config.n_cores} per-core traces, "
+                         f"got {len(traces)}")
     shared_llc = Cache(config.llc)
     shared_ledger = BandwidthLedger(config.cycles_per_block_transfer)
 
     cores: list[TimingSimulator] = []
-    for core_slice in slices:
+    for core_trace in traces:
         prefetcher = make_prefetcher(prefetcher_name, config, **prefetcher_kwargs)
         sim = TimingSimulator(config, prefetcher, shared_llc=shared_llc,
                               shared_ledger=shared_ledger)
-        sim.load(core_slice, warmup=int(len(core_slice) * warmup_frac))
+        sim.load(core_trace, warmup=int(len(core_trace) * warmup_frac))
         cores.append(sim)
 
     # Advance the core with the smallest local clock each step so shared
     # resources see requests in (approximately) global time order.  A
-    # core with nothing to replay (a trace shorter than n_cores, or an
-    # empty per-core trace) never enters the heap.
+    # core with nothing to replay (an empty per-core trace) never
+    # enters the heap.
     heap = [(sim.now, idx) for idx, sim in enumerate(cores) if not sim.done()]
     heapq.heapify(heap)
     while heap:
@@ -104,7 +98,7 @@ def simulate_multicore(trace: MemoryTrace | list[MemoryTrace], config: SystemCon
         if not sim.done():
             heapq.heappush(heap, (sim.now, idx))
 
-    result = MulticoreResult(workload=workload_name,
+    result = MulticoreResult(workload=traces[0].name,
                              prefetcher=cores[0].prefetcher.name)
     for sim in cores:
         result.per_core.append(sim.finalise())

@@ -90,14 +90,6 @@ class MemoryTrace:
             name=f"{self.name}[{start}:{stop}]",
         )
 
-    def split(self, n_parts: int) -> list["MemoryTrace"]:
-        """Split into ``n_parts`` contiguous near-equal sub-traces (used
-        to feed the four cores of the multicore timing model)."""
-        if n_parts <= 0:
-            raise TraceError("n_parts must be positive")
-        bounds = np.linspace(0, len(self), n_parts + 1, dtype=int)
-        return [self.slice(int(bounds[i]), int(bounds[i + 1])) for i in range(n_parts)]
-
 
 def validate_warmup(warmup: int, n_accesses: int) -> None:
     """``warmup`` leading accesses must leave at least one measured one.

@@ -2,6 +2,8 @@
 well-formed table at tiny sizes; a few shape assertions on the cheap ones."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,8 @@ import repro.experiments
 from repro.errors import UnknownExperimentError
 from repro.experiments import (ExperimentOptions, ExperimentResult,
                                experiment_ids, run_experiment)
+from repro.prefetchers.registry import prefetcher_names
+from repro.runner import RunManifest
 
 TINY = ExperimentOptions(n_accesses=12_000, workloads=("oltp",), seed=7)
 
@@ -57,6 +61,24 @@ def test_drivers_import_no_simulation_engine():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                     for alias in node.names}
         assert not imported & engines, path.name
+
+
+def test_cells_use_exactly_the_registered_prefetchers(monkeypatch):
+    """The registry holds what the experiments run and nothing more."""
+    cells = []
+
+    def record(batch, options, policy=None):
+        cells.extend(batch)
+        return [None] * len(batch), RunManifest()
+
+    for info in pkgutil.iter_modules(repro.experiments.__path__):
+        module = importlib.import_module(f"repro.experiments.{info.name}")
+        if hasattr(module, "run_cells"):
+            monkeypatch.setattr(module, "run_cells", record)
+    for experiment_id in experiment_ids():
+        run_experiment(experiment_id, ExperimentOptions())
+    used = {cell.prefetcher for cell in cells if cell.prefetcher}
+    assert used == set(prefetcher_names())
 
 
 def test_unknown_experiment():

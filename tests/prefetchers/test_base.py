@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.prefetchers.base import NullPrefetcher, Prefetcher
+from repro.prefetchers.base import NullPrefetcher
 
 
 class TestNullPrefetcher:
@@ -32,6 +32,3 @@ class TestNullPrefetcher:
         null.metadata.index_reads = 5
         null.reset_traffic()
         assert null.metadata.total == 0
-
-    def test_describe(self, config):
-        assert "baseline" in NullPrefetcher(config).describe()

@@ -15,6 +15,12 @@ def _restore_policy():
 
 
 @pytest.fixture
+def no_backoff(monkeypatch):
+    """Retry at once: zero the scheduler's retry backoff."""
+    monkeypatch.setattr(scheduler, "RETRY_BACKOFF_S", 0.0)
+
+
+@pytest.fixture
 def tiny_options() -> ExperimentOptions:
     """A sweep small enough for sub-second cells."""
     return ExperimentOptions(n_accesses=6000, workloads=("oltp",), seed=7)

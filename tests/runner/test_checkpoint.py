@@ -128,8 +128,7 @@ class TestSchedulerIntegration:
         from repro.faults import FaultPlan
         cache = tmp_path / "c"
         crashing = ExecutionPolicy(use_cache=True, cache_dir=cache,
-                                   run_id="r1", retries=0, backoff_s=0.0,
-                                   keep_going=True,
+                                   run_id="r1", retries=0, keep_going=True,
                                    faults=FaultPlan(crash_attempts=1))
         payloads, m1 = run_cells(sweep, tiny_options, crashing)
         assert m1.failed == len(sweep) and payloads == [None] * len(sweep)

@@ -22,11 +22,9 @@ from ..sim.reference import ReferenceSimulator
 
 @pytest.fixture(autouse=True)
 def _fresh_fastpath_state():
-    """Make per-process fastpath caches test-local and deterministic."""
-    execute_mod._FILTERS.clear()
+    """Detach the executor from any store an earlier test pointed it at."""
     execute_mod.set_fastpath_root(None)
     yield
-    execute_mod._FILTERS.clear()
     execute_mod.set_fastpath_root(None)
 
 
@@ -93,9 +91,8 @@ class TestFastpathToggleEquivalence:
         cache = tmp_path / "warm-store"
         first, _ = run_cells(_grid(), tiny_options,
                              ExecutionPolicy(use_cache=True, cache_dir=cache))
-        # Same grid, cold memo, warm store: the filters (and the cell
-        # artifacts) come back from disk bit-identical.
-        execute_mod._FILTERS.clear()
+        # Same grid, warm store: the filters (and the cell artifacts)
+        # come back from disk bit-identical.
         again, _ = run_cells(_grid(), tiny_options,
                              ExecutionPolicy(use_cache=True, cache_dir=cache))
         assert again == first
@@ -118,7 +115,7 @@ class TestFilterArtifacts:
         cache = tmp_path / "store"
         cells = [Cell(kind="trace", workload="oltp", prefetcher=name,
                       degree=degree)
-                 for name in ("baseline", "nextline", "stms", "domino")
+                 for name in ("baseline", "vldp", "stms", "domino")
                  for degree in (1, 4)]
         run_cells(cells, tiny_options,
                   ExecutionPolicy(use_cache=True, cache_dir=cache))
@@ -159,7 +156,6 @@ class TestCorruptFilterRecovery:
         for envelope in cache.glob("v*/*/*.json"):
             if json.loads(envelope.read_text()).get("kind") != "l1_filter":
                 envelope.unlink()
-        execute_mod._FILTERS.clear()
         obs.configure(level=obs.DEBUG)
         try:
             again, _ = run_cells(_grid(), tiny_options,
@@ -190,7 +186,6 @@ class TestCorruptFilterRecovery:
         for envelope in cache.glob("v*/*/*.json"):
             if json.loads(envelope.read_text()).get("kind") != "l1_filter":
                 envelope.unlink()
-        execute_mod._FILTERS.clear()
         again, _ = run_cells(_grid(), tiny_options,
                              ExecutionPolicy(use_cache=True, cache_dir=cache))
         assert again == clean

@@ -94,13 +94,13 @@ class TestParseSpec:
             parse_fault_spec(bad)
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestRetries:
     def test_crash_at_n_retried_to_success(self, tiny_options, sweep):
         plan = FaultPlan(crash_attempts=1)
         payloads, manifest = run_cells(
             sweep, tiny_options,
-            ExecutionPolicy(use_cache=False, retries=2, backoff_s=0.0,
-                            faults=plan))
+            ExecutionPolicy(use_cache=False, retries=2, faults=plan))
         assert all(p is not None for p in payloads)
         assert all(c.status == "retried" and c.attempts == 2
                    for c in manifest.cells)
@@ -111,13 +111,13 @@ class TestRetries:
         with pytest.raises(CellFailedError, match="injected crash"):
             run_cells(sweep[:1], tiny_options,
                       ExecutionPolicy(use_cache=False, retries=1,
-                                      backoff_s=0.0, faults=plan))
+                                      faults=plan))
 
     def test_keep_going_degrades_to_partial_results(self, tiny_options, sweep):
         plan = FaultPlan(crash_attempts=3)
         payloads, manifest = run_cells(
             sweep, tiny_options,
-            ExecutionPolicy(use_cache=False, retries=1, backoff_s=0.0,
+            ExecutionPolicy(use_cache=False, retries=1,
                             keep_going=True, faults=plan))
         assert all(p is None for p in payloads)
         assert all(c.status == "failed" and c.attempts == 2
@@ -127,6 +127,7 @@ class TestRetries:
         assert all("injected crash" in c.error for c in manifest.cells)
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestSerialParallelEquivalence:
     def test_same_payloads_and_statuses_under_crashes(self, tiny_options, sweep):
         """The acceptance criterion: `--jobs 4` == serial under injected
@@ -134,8 +135,7 @@ class TestSerialParallelEquivalence:
         def run(jobs):
             return run_cells(sweep, tiny_options,
                              ExecutionPolicy(jobs=jobs, use_cache=False,
-                                             retries=3, backoff_s=0.0,
-                                             keep_going=True,
+                                             retries=3, keep_going=True,
                                              faults=FaultPlan(crash_p=0.4,
                                                               seed=5)))
         serial_p, serial_m = run(1)
@@ -148,8 +148,7 @@ class TestSerialParallelEquivalence:
         def run(jobs):
             _, m = run_cells(sweep, tiny_options,
                              ExecutionPolicy(jobs=jobs, use_cache=False,
-                                             retries=0, backoff_s=0.0,
-                                             keep_going=True,
+                                             retries=0, keep_going=True,
                                              faults=FaultPlan(crash_p=0.5,
                                                               seed=3)))
             return statuses(m)

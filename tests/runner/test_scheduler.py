@@ -95,8 +95,8 @@ class TestPolicy:
         with pytest.raises(ValueError):
             ExecutionPolicy(jobs=0)
 
-    @pytest.mark.parametrize("bad", [dict(retries=-1), dict(backoff_s=-0.1),
-                                     dict(backoff_max_s=-1.0),
+    @pytest.mark.parametrize("bad", [dict(retries=-1), dict(jobs=0),
+                                     dict(timeout_s=-1.0),
                                      dict(timeout_s=0.0),
                                      dict(resume=True)])
     def test_robustness_knobs_validated(self, bad):
@@ -104,13 +104,12 @@ class TestPolicy:
             ExecutionPolicy(**bad)
 
     def test_backoff_delay_deterministic_and_bounded(self):
-        from repro.runner.scheduler import _backoff_delay
-        policy = ExecutionPolicy(retries=5, backoff_s=0.1, backoff_max_s=1.0)
-        delays = [_backoff_delay(policy, "somekey", a) for a in range(5)]
-        assert delays == [_backoff_delay(policy, "somekey", a)
-                          for a in range(5)]
+        from repro.runner.scheduler import (RETRY_BACKOFF_MAX_S,
+                                            RETRY_BACKOFF_S, _backoff_delay)
+        delays = [_backoff_delay("somekey", a) for a in range(8)]
+        assert delays == [_backoff_delay("somekey", a) for a in range(8)]
         for attempt, delay in enumerate(delays):
-            ceiling = min(1.0, 0.1 * 2 ** attempt)
+            ceiling = min(RETRY_BACKOFF_MAX_S, RETRY_BACKOFF_S * 2 ** attempt)
             assert 0.5 * ceiling <= delay < 1.5 * ceiling
 
     def test_set_policy_overrides(self):

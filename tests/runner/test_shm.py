@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.runner import Cell, ExecutionPolicy, run_cells, shm
+from repro.experiments import fig06_timing_events
+from repro.runner import Cell, ExecutionPolicy, run_cells, scheduler, shm
 
 
 @pytest.fixture(autouse=True)
@@ -129,6 +130,24 @@ class TestPoolHandoff:
         mine = [n for n in shm.active_segments()
                 if n.startswith(f"{shm.SEGMENT_PREFIX}{os.getpid()}x")]
         assert mine == []  # the run's finally reclaimed every segment
+
+    def test_timing_cells_get_the_shared_trace(self, tiny_options, monkeypatch):
+        """fig06's timing cells read their workload's trace, so a pooled
+        run shares it instead of every worker generating it."""
+        plans = []
+        real_plan = scheduler._trace_share_plan
+
+        def spy(pending, options, store):
+            plans.append(real_plan(pending, options, store))
+            return plans[-1]
+
+        monkeypatch.setattr(scheduler, "_trace_share_plan", spy)
+        scheduler.set_policy(ExecutionPolicy(jobs=2))
+        result = fig06_timing_events.run(tiny_options)
+        assert result.manifest.mode == "pool"
+        key = shm.trace_share_key("oltp", tiny_options.n_accesses,
+                                  tiny_options.seed)
+        assert plans == [{key: "oltp"}]
 
     def test_pool_without_share_identical(self, tiny_options, monkeypatch):
         # A platform that refuses shared memory: publish returns None

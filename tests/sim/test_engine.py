@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.prefetchers.base import NullPrefetcher, Prefetcher
-from repro.prefetchers.nextline import NextLinePrefetcher
 from repro.prefetchers.stms import StmsPrefetcher
+from repro.prefetchers.vldp import VldpPrefetcher
 from repro.sim.engine import simulate_trace
 from repro.sim.fastpath import build_l1_filter
 
@@ -68,7 +68,7 @@ class TestBasicAccounting:
 
     def test_accuracy_and_ratios_consistent(self, config, tiny_trace):
         result = simulate_trace(tiny_trace, config,
-                                NextLinePrefetcher(config, degree=2))
+                                VldpPrefetcher(config, degree=2))
         m = result.metrics
         assert m.prefetch_hits + m.overpredictions == m.prefetches_issued
         assert 0.0 <= result.coverage <= 1.0

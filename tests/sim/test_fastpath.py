@@ -22,7 +22,7 @@ from .reference import (L1_CONFIGS, ReferenceSimulator,
 
 FIELDS = ("indices", "pcs", "blocks", "evicted")
 
-PINNED_PREFETCHERS = ["baseline", "nextline", "stms", "digram", "domino",
+PINNED_PREFETCHERS = ["baseline", "vldp+domino", "stms", "digram", "domino",
                       "isb", "vldp"]
 
 

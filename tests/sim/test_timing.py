@@ -6,7 +6,6 @@ from repro.config import small_test_config, timing_config
 from repro.errors import SimulationError
 from repro.memory.cache import Cache
 from repro.prefetchers.base import NullPrefetcher, Prefetcher
-from repro.prefetchers.nextline import NextLinePrefetcher
 from repro.sim.multicore import simulate_multicore
 from repro.sim.timing import TimingSimulator
 from repro.workloads.suite import WorkloadSuite
@@ -28,6 +27,15 @@ class OneShotPrefetcher(Prefetcher):
             return []
         self.fired = True
         return [(self.target, 0)]
+
+
+class NextBlocksPrefetcher(Prefetcher):
+    """Prefetches the ``degree`` blocks after every miss."""
+
+    name = "nextblocks"
+
+    def on_miss(self, pc, block):
+        return [(block + i, 0) for i in range(1, self.degree + 1)]
 
 
 class TestBaselineTiming:
@@ -112,7 +120,7 @@ class TestPrefetchTiming:
         config = small_test_config(prefetch_drop_backlog_blocks=1)
         blocks = list(range(0, 6400, 64))
         trace = trace_factory(blocks, works=[0] * len(blocks))
-        sim = TimingSimulator(config, NextLinePrefetcher(config, degree=4))
+        sim = TimingSimulator(config, NextBlocksPrefetcher(config, degree=4))
         result = sim.run(trace)
         assert result.prefetches_dropped > 0
 
@@ -267,7 +275,8 @@ class TestWarmupValidation:
         with pytest.raises(SimulationError):
             TimingSimulator(config).run(tiny_trace, warmup_frac=1.0)
         with pytest.raises(SimulationError):
-            simulate_multicore(tiny_trace, config, "baseline", warmup_frac=1.0)
+            simulate_multicore([tiny_trace] * config.n_cores, config,
+                               "baseline", warmup_frac=1.0)
 
     def test_beyond_trace_warmup_rejected(self, config, tiny_trace):
         with pytest.raises(SimulationError):

@@ -48,17 +48,6 @@ class TestMemoryTrace:
         with pytest.raises(TraceError):
             trace_factory([1, 2, 3]).slice(start, stop)
 
-    def test_split_covers_everything(self, trace_factory):
-        trace = trace_factory(list(range(10)))
-        parts = trace.split(3)
-        assert sum(len(p) for p in parts) == 10
-        rejoined = [b for p in parts for b in p.blocks.tolist()]
-        assert rejoined == list(range(10))
-
-    def test_split_invalid(self, trace_factory):
-        with pytest.raises(TraceError):
-            trace_factory([1]).split(0)
-
     def test_as_lists_returns_python_ints(self, trace_factory):
         pcs, blocks, deps, works = trace_factory([1, 2]).as_lists()
         assert all(type(v) is int for v in blocks)

@@ -99,11 +99,10 @@ class TestRunnerCompatibility:
     def test_scheduler_delegates_to_shared_helper(self):
         """The runner's retry spacing is the shared formula, unchanged."""
         from repro.faults import stable_fraction
-        from repro.runner import ExecutionPolicy
-        from repro.runner.scheduler import _backoff_delay
+        from repro.runner.scheduler import (RETRY_BACKOFF_MAX_S,
+                                            RETRY_BACKOFF_S, _backoff_delay)
 
-        policy = ExecutionPolicy(retries=5, backoff_s=0.1, backoff_max_s=1.0)
-        for attempt in range(5):
-            legacy = (min(policy.backoff_max_s, policy.backoff_s * 2 ** attempt)
+        for attempt in range(8):
+            legacy = (min(RETRY_BACKOFF_MAX_S, RETRY_BACKOFF_S * 2 ** attempt)
                       * (0.5 + stable_fraction("backoff", "somekey", attempt)))
-            assert _backoff_delay(policy, "somekey", attempt) == legacy
+            assert _backoff_delay("somekey", attempt) == legacy

@@ -140,9 +140,11 @@ def test_cache_stats_and_clear(tmp_path, capsys):
     assert main(RUN_TINY + ["--cache-dir", cache]) == 0
     capsys.readouterr()
     assert main(["cache", "stats", "--cache-dir", cache]) == 0
-    assert "6 artifacts" in capsys.readouterr().out
+    # 5 prefetcher cells, the opportunity cell, and the whole-trace and
+    # measured-window L1 filters they read.
+    assert "8 artifacts" in capsys.readouterr().out
     assert main(["cache", "clear", "--cache-dir", cache]) == 0
-    assert "removed 6" in capsys.readouterr().out
+    assert "removed 8" in capsys.readouterr().out
     assert main(["cache", "stats", "--cache-dir", cache]) == 0
     assert "0 artifacts" in capsys.readouterr().out
 
@@ -152,7 +154,7 @@ def test_cache_gc(tmp_path, capsys):
     assert main(RUN_TINY + ["--cache-dir", cache]) == 0
     capsys.readouterr()
     assert main(["cache", "gc", "--keep", "2", "--cache-dir", cache]) == 0
-    assert "removed 4" in capsys.readouterr().out
+    assert "removed 6" in capsys.readouterr().out  # 8 artifacts, 2 kept
 
 
 class TestRobustness:

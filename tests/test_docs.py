@@ -1,6 +1,7 @@
 """Documentation consistency: the docs must track the code."""
 
 import argparse
+import importlib
 import re
 from pathlib import Path
 
@@ -24,6 +25,8 @@ _PATH_RE = re.compile(
 #: Paths the docs name as illustrations, not as files.
 ILLUSTRATIVE_PATHS = {"src/repro/sim/x.py"}
 _SPEC_RE = re.compile(r"--inject-(?:net-)?faults\s+(\S+)")
+#: A backticked dotted name in the package, e.g. `repro.runner.cells`.
+_REPRO_NAME_RE = re.compile(r"`(repro(?:\.\w+)+)")
 
 
 def _doc_texts():
@@ -131,6 +134,30 @@ def test_every_documented_repo_path_exists():
                      and path not in ILLUSTRATIVE_PATHS
                      and not (ROOT / path).exists())
     assert missing == []
+
+
+def _resolves(dotted):
+    """Whether ``dotted`` names a module, or an attribute reached from one."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for depth, part in enumerate(parts[1:], start=2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        try:
+            obj = importlib.import_module(".".join(parts[:depth]))
+        except ImportError:
+            return False
+    return True
+
+
+def test_every_documented_repro_name_resolves():
+    documented = {(name, match) for name, text in _doc_texts().items()
+                  for match in _REPRO_NAME_RE.findall(text)}
+    assert documented, "the docs name no repro module"
+    unresolved = sorted((name, dotted) for name, dotted in documented
+                        if not _resolves(dotted))
+    assert unresolved == []
 
 
 def test_runner_md_kind_row_names_every_cell_kind():
