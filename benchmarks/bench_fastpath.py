@@ -16,7 +16,7 @@ gate on:
   ``/dev/shm`` segments from this process after both passes.
 * **cancel_overhead** — an uncancelled
   :class:`~repro.cancel.CancelToken` attached to a serial, cache-free
-  pass of the grid's trace cells through the engine's event loop:
+  pass of the grid's trace cells through the engine's event path:
   identical payloads, full progress metering, and a checkpoint
   overhead gated by ``--max-cancel-overhead`` (default 2%), so
   lifecycle instrumentation can never quietly tax or perturb the loop.
@@ -25,6 +25,10 @@ gate on:
   over the plain pass's CPU time: a difference of two whole-pass walls
   would gate host noise, not the checkpoints.  That wall pair is still
   reported, ungated.
+* **cancel_overhead_timing** — the same probe and gate over one
+  quad-core ``multicore`` cell (Domino on oltp, timing config), the
+  cycle model's path through the same event path: every core
+  checkpoints and meters its own accesses.
 
 Usage::
 
@@ -47,8 +51,9 @@ from repro.cancel import CancelToken
 from repro.config import SystemConfig
 from repro.experiments.common import ExperimentOptions
 from repro.experiments.fig11_degree1 import build_cells
-from repro.runner import ExecutionPolicy, run_cells, shm
+from repro.runner import Cell, ExecutionPolicy, run_cells, shm
 from repro.runner import execute as execute_mod
+from repro.runner.cells import cell_config
 from repro.sim import fastpath
 from repro.workloads.suite import WorkloadSuite
 
@@ -167,21 +172,21 @@ def _checkpoint_cost_s(calls: int = 200_000, rounds: int = 5) -> float:
     return best / calls
 
 
-def _measure_cancel_overhead(options: ExperimentOptions,
-                             repeats: int = 5) -> dict:
-    """Cost of cancellation checkpoints in the event loop.
+def _measure_cancel_overhead(cells: list[Cell], options: ExperimentOptions,
+                             expected: int, repeats: int = 5) -> dict:
+    """Cost of cancellation checkpoints in the event path.
 
     Cancel tokens are only consulted on the serial path (the pool
     polls the token between results instead of shipping it), so the
-    probe is a serial, cache-free pass of the grid's trace cells.  The
-    gated ``overhead_pct`` is ``calls * checkpoint cost / plain CPU``:
-    the token calls one metered pass makes, each charged the per-call
-    cost of ``checkpoint`` timed in a tight loop, over the best plain
-    pass's CPU time.  The plain and metered walls alternate ``repeats``
-    times, swapping which runs first, and their best-of ratio is kept
-    as the ungated ``wall_overhead_pct``.
+    probe is a serial, cache-free pass of ``cells``, whose metered pass
+    must publish ``expected`` simulated accesses.  The gated
+    ``overhead_pct`` is ``calls * checkpoint cost / plain CPU``: the
+    token calls one metered pass makes, each charged the per-call cost
+    of ``checkpoint`` timed in a tight loop, over the best plain pass's
+    CPU time.  The plain and metered walls alternate ``repeats`` times,
+    swapping which runs first, and their best-of ratio is kept as the
+    ungated ``wall_overhead_pct``.
     """
-    cells = [c for c in build_cells(options, degree=1) if c.kind == "trace"]
     policy = ExecutionPolicy(jobs=1, use_cache=False)
 
     def timed_pass(token):
@@ -200,7 +205,6 @@ def _measure_cancel_overhead(options: ExperimentOptions,
     payloads: dict[str, list] = {}
     equivalent = True
     calls = 0
-    expected = len(cells) * options.n_accesses
     for rep in range(repeats):
         order = ("plain", "metered") if rep % 2 == 0 else ("metered", "plain")
         for variant in order:
@@ -276,12 +280,24 @@ def main(argv: list[str] | None = None) -> int:
           f"equivalent={shm_report['equivalent']}, "
           f"leak_free={shm_report['leak_free']}")
 
-    cancel = _measure_cancel_overhead(options)
-    print(f"cancel checkpoints: {cancel['token_calls']} calls x "
-          f"{cancel['checkpoint_ns']:.0f} ns over {cancel['plain_cpu_s']:.2f}s "
-          f"CPU = {cancel['overhead_pct']:.4f}% "
-          f"(walls, ungated: plain {cancel['plain_s']:.2f}s, metered "
-          f"{cancel['metered_s']:.2f}s, {cancel['wall_overhead_pct']:+.2f}%)")
+    trace_cells = [c for c in build_cells(options, degree=1)
+                   if c.kind == "trace"]
+    timing_cell = Cell(kind="multicore", workload="oltp", prefetcher="domino",
+                       config_name="timing")
+    probes = {
+        "trace": _measure_cancel_overhead(
+            trace_cells, options, len(trace_cells) * options.n_accesses),
+        "timing": _measure_cancel_overhead(
+            [timing_cell], options,
+            cell_config(timing_cell).n_cores * options.per_core_accesses),
+    }
+    for label, cancel in probes.items():
+        print(f"cancel checkpoints ({label}): {cancel['token_calls']} calls x "
+              f"{cancel['checkpoint_ns']:.0f} ns over "
+              f"{cancel['plain_cpu_s']:.2f}s CPU = "
+              f"{cancel['overhead_pct']:.4f}% (walls, ungated: plain "
+              f"{cancel['plain_s']:.2f}s, metered {cancel['metered_s']:.2f}s, "
+              f"{cancel['wall_overhead_pct']:+.2f}%)")
 
     failures = []
     if not hot_path["builds_equal"]:
@@ -293,12 +309,13 @@ def main(argv: list[str] | None = None) -> int:
         failures.append("shm trace handoff perturbed payloads")
     if not shm_report["leak_free"]:
         failures.append(f"leaked shm segments {shm_report['leaked_segments']}")
-    if not cancel["equivalent"]:
-        failures.append("metered payloads differ from unmetered")
-    if cancel["overhead_pct"] > args.max_cancel_overhead:
-        failures.append(f"cancel-checkpoint overhead "
-                        f"{cancel['overhead_pct']:.4f}% above "
-                        f"{args.max_cancel_overhead:g}%")
+    for label, cancel in probes.items():
+        if not cancel["equivalent"]:
+            failures.append(f"metered {label} payloads differ from unmetered")
+        if cancel["overhead_pct"] > args.max_cancel_overhead:
+            failures.append(f"{label} cancel-checkpoint overhead "
+                            f"{cancel['overhead_pct']:.4f}% above "
+                            f"{args.max_cancel_overhead:g}%")
 
     report = {
         "benchmark": "fastpath_gates",
@@ -310,7 +327,8 @@ def main(argv: list[str] | None = None) -> int:
         "hot_path": hot_path,
         "min_hotpath_speedup": args.min_hotpath_speedup,
         "shm": shm_report,
-        "cancel_overhead": cancel,
+        "cancel_overhead": probes["trace"],
+        "cancel_overhead_timing": probes["timing"],
         "max_cancel_overhead_pct": args.max_cancel_overhead,
         "pass": not failures,
     }

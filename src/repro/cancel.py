@@ -40,6 +40,7 @@ import threading
 import time
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
+from typing import Any
 
 from .errors import ConfigError, JobCancelled
 
@@ -48,6 +49,7 @@ __all__ = [
     "DEFAULT_CHECK_EVERY",
     "REASON_DEADLINE",
     "cancel_scope",
+    "current_checks",
     "current_token",
 ]
 
@@ -162,6 +164,17 @@ _SCOPE = threading.local()
 def current_token() -> CancelToken | None:
     """The :class:`CancelToken` governing this thread, if any."""
     return getattr(_SCOPE, "token", None)
+
+
+def current_checks() -> tuple[Any, int]:
+    """``(token, check_every)`` for a simulation loop about to start,
+    with the :data:`NEVER` sentinel when untokened; raises at once if
+    the token is already cancelled."""
+    cancel = current_token()
+    if cancel is None:
+        return None, NEVER
+    cancel.raise_if_cancelled()
+    return cancel, cancel.check_every
 
 
 @contextmanager

@@ -240,7 +240,7 @@ def _execute_timing(cell: Cell, options: Any) -> dict[str, Any]:
     config = cell_config(cell)
     prefetcher = _prefetcher(cell, options, config)
     result = TimingSimulator(config, prefetcher).run(
-        _trace(cell.workload, options), warmup_frac=options.warmup_frac)
+        _trace(cell.workload, options), warmup=options.warmup)
     return {"timeliness": result.timeliness, "prefetch_hits": result.prefetch_hits,
             "first_prefetch_round_trips": prefetcher.first_prefetch_round_trips}
 

@@ -2,10 +2,12 @@
 
 * :mod:`repro.sim.trace` — the memory-access trace format shared by all
   simulators (the stand-in for Flexus trace files).
-* :mod:`repro.sim.engine` — trace-driven prefetcher evaluation producing
-  coverage / overprediction / traffic numbers (Figs. 1–5, 9–13, 15, 16).
+* :mod:`repro.sim.engine` — the per-miss event path both simulators
+  replay L1 filters through, and trace-driven prefetcher evaluation
+  producing coverage / overprediction / traffic numbers (Figs. 1–5,
+  9–13, 15, 16).
 * :mod:`repro.sim.timing` / :mod:`repro.sim.multicore` — simplified
-  cycle model for the quad-core performance results (Fig. 14).
+  cycle model on the same path for the performance results (Figs. 6, 14).
 
 Both simulators exclude a leading warm-up window from their counters
 (the SimFlex checkpoint-warming analogue); there are no sampled

@@ -57,7 +57,7 @@ from typing import Any
 
 import numpy as np
 
-from ..cancel import NEVER, current_token
+from ..cancel import NEVER, current_checks
 from ..config import SystemConfig
 from ..errors import SimulationError
 from ..memory.cache import Cache
@@ -149,22 +149,13 @@ class L1Filter:
 # -- build kernels ----------------------------------------------------------
 
 
-def _cancel_checks() -> tuple[Any, int]:
-    """(token, check_every) with the NEVER sentinel when untokened."""
-    cancel = current_token()
-    if cancel is None:
-        return None, NEVER
-    cancel.raise_if_cancelled()
-    return cancel, cancel.check_every
-
-
 def _build_arrays_scalar(
         trace: MemoryTrace, config: SystemConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Reference kernel: one scalar pass through the ``Cache`` model."""
     l1 = Cache(config.l1d)
     access = l1.access_traced
-    pcs_list, blocks_list, _, _ = trace.as_lists()
+    pcs_list = trace.pcs.tolist()
     indices: list[int] = []
     miss_pcs: list[int] = []
     miss_blocks: list[int] = []
@@ -172,9 +163,9 @@ def _build_arrays_scalar(
     # Cancellation checkpoints only — no progress advance: the replay
     # re-walks these accesses and meters them there, so advancing here
     # would count them twice in the job's reported progress.
-    cancel, check_every = _cancel_checks()
+    cancel, check_every = current_checks()
     next_check = check_every if cancel is not None else NEVER
-    for i, block in enumerate(blocks_list):
+    for i, block in enumerate(trace.blocks.tolist()):
         if i >= next_check:
             cancel.raise_if_cancelled()
             next_check = i + check_every
@@ -222,7 +213,7 @@ def _build_arrays_lru2(
         set_idx = blocks & (n_sets - 1)
     else:
         set_idx = blocks % n_sets
-    cancel, _ = _cancel_checks()
+    cancel, _ = current_checks()
 
     def checkpoint() -> None:
         # Cancellation only — no progress advance (the replay re-walks

@@ -2,9 +2,11 @@
 
 Four cores, each replaying its own trace, run over a shared LLC and a
 shared off-chip channel.  The cores are interleaved in time order — at
-every step the core with the smallest local clock advances one access —
-so bandwidth contention between demand misses, prefetches, and metadata
-traffic is resolved in (approximate) global time order.
+every step the core with the smallest local clock advances one L1 miss
+and the hits up to its next miss, which orders the shared resources
+exactly as advancing one access would (docs/MODEL.md §2) — so bandwidth
+contention between demand misses, prefetches, and metadata traffic is
+resolved in (approximate) global time order.
 
 System performance follows the paper's metric: the ratio of application
 instructions to total cycles across the chip.

@@ -29,11 +29,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from ..cancel import NEVER
 from ..config import SystemConfig
+from ..errors import SimulationError
 from ..memory.cache import Cache
 from ..memory.dram import BandwidthLedger, DramModel
-from ..memory.prefetch_buffer import PrefetchBuffer
-from ..prefetchers.base import NullPrefetcher, Prefetcher
+from ..memory.prefetch_buffer import BufferEntry
+from ..prefetchers.base import Prefetcher
+from .engine import EventPath
+from .fastpath import build_l1_filter
 from .trace import MemoryTrace, validate_warmup
 
 
@@ -65,26 +69,29 @@ class TimingResult:
         return 1.0 - self.late_prefetch_hits / self.prefetch_hits
 
 
-class TimingSimulator:
-    """Replays one trace on one core with cycle accounting."""
+class TimingSimulator(EventPath):
+    """Replays one trace on one core with cycle accounting: the trace's
+    L1 misses run the engine's :class:`~repro.sim.engine.EventPath`, and
+    its hooks and the hit runs between misses move the clock."""
 
     def __init__(self, config: SystemConfig, prefetcher: Prefetcher | None = None,
                  shared_llc: Cache | None = None,
                  shared_ledger: BandwidthLedger | None = None) -> None:
-        self.config = config
-        self.prefetcher = prefetcher if prefetcher is not None else NullPrefetcher(config)
-        self.l1 = Cache(config.l1d)
+        super().__init__(config, prefetcher)
         #: Shared between cores in the multicore model (capacity
         #: contention); prefetches never install into it.
         self.llc = shared_llc if shared_llc is not None else Cache(config.llc)
         self.dram = DramModel(config, ledger=shared_ledger)
-        self.buffer = PrefetchBuffer(config.prefetch_buffer_blocks)
+        self._drop_backlog = (config.prefetch_drop_backlog_blocks
+                              * config.cycles_per_block_transfer)
 
         self.now = 0.0
         self.inst_index = 0
         self._last_completion = 0.0
         #: (completion_cycle, instruction_index) of outstanding misses.
         self._outstanding: deque[tuple[float, int]] = deque()
+        #: Streams that issued a prefetch since the start of the trace
+        #: (warm-up included): the first-prefetch delay is per stream.
         self._seen_streams: set[int] = set()
         self._md_reads = 0
         self._md_writes = 0
@@ -92,26 +99,25 @@ class TimingSimulator:
 
     # -- public driving interface (multicore interleaves step calls) -----
     def load(self, trace: MemoryTrace, warmup: int = 0) -> None:
+        """Build ``trace``'s L1 filter; the leading ``warmup`` accesses
+        will be excluded from the result."""
         validate_warmup(warmup, len(trace))
-        self._pcs, self._blocks, self._deps, self._works = trace.as_lists()
-        self._cursor = 0
-        self._warmup_at = warmup
+        self._rows = build_l1_filter(trace, self.config).replay_rows()
+        self._row = next(self._rows, None)
+        self._works = trace.works.tolist()
+        self._deps = trace.deps.tolist()
+        self._n_accesses = len(trace)
+        self._reset_at = warmup if warmup else NEVER
         self._warm_now = 0.0
-        self._warm_counters: TimingResult | None = None
+        self._warm_inst = 0
         self.result.workload = trace.name
+        self._open_events()
 
     def done(self) -> bool:
-        return self._cursor >= len(self._blocks)
-
-    def mark_measurement_start(self) -> None:
-        """Snapshot counters so warm-up is excluded from the result."""
-        import copy
-
-        self._warm_counters = copy.copy(self.result)
-        self._warm_now = self.now
+        return self._row is None
 
     def finalise(self) -> TimingResult:
-        """Close the measurement window (subtracting any warm-up).
+        """Close the measurement window.
 
         Misses still in flight at trace end are part of the measured
         region — the program has not finished until its last fill
@@ -125,86 +131,84 @@ class TimingSimulator:
                 self.now = completion
             if completion > self._last_completion:
                 self._last_completion = completion
+        self._close_events(self._n_accesses)
         res = self.result
-        if self._warm_counters is not None:
-            warm = self._warm_counters
-            for fname in ("instructions", "misses", "llc_hits",
-                          "memory_accesses", "prefetch_hits",
-                          "late_prefetch_hits", "prefetches_issued",
-                          "prefetches_dropped"):
-                setattr(res, fname, getattr(res, fname) - getattr(warm, fname))
         res.cycles = self.now - self._warm_now
+        res.instructions = self.inst_index - self._warm_inst
         return res
 
     def step(self) -> None:
-        """Process one memory access (plus the work preceding it)."""
-        i = self._cursor
-        if i == self._warmup_at and i > 0:
-            self.mark_measurement_start()
-        self._cursor += 1
-        block = self._blocks[i]
+        """Process one L1 miss, then the hits up to the next miss (the
+        first access always misses the cold L1, so the steps cover every
+        access)."""
+        if self._row is None:
+            raise SimulationError("step() past the end of the trace")
+        i, pc, block, victim_block = self._row
+        self._row = row = next(self._rows, None)
+        stop = row[0] if row is not None else self._n_accesses
+        self._work(i, i + 1)
+        self._on_l1_miss(i, pc, block, victim_block)
+        self._work(i + 1, stop)
+
+    def _work(self, start: int, stop: int) -> None:
+        """Issue the instructions of accesses ``start..stop-1``, one
+        access at a time, starting the measured window at ``warmup``."""
+        reset_at = self._reset_at
+        if start <= reset_at < stop:
+            self._work(start, reset_at)
+            self._reset_counters()
+            start = reset_at
+        works = self._works
+        width = self.config.issue_width
+        outstanding = self._outstanding
+        for k in range(start, stop):
+            work = works[k]
+            self.now += work / width
+            self.inst_index += work + 1
+            if outstanding:
+                self._retire(self.inst_index)
+
+    def _reset_counters(self) -> None:
+        """Forget the counters, keep all simulated state (the prefetcher's
+        metadata counters and the seen-stream set included)."""
+        self.result = TimingResult(workload=self.result.workload,
+                                   prefetcher=self.result.prefetcher)
+        self._warm_now = self.now
+        self._warm_inst = self.inst_index
+        self._reset_at = NEVER
+
+    # -- the event path's hooks ----------------------------------------------
+    def _account_demand(self, i: int, block: int,
+                        entry: BufferEntry | None) -> None:
+        """The demand's cycles, then the metadata its training moved."""
+        config = self.config
+        res = self.result
         dep = self._deps[i]
-        work = self._works[i]
-
-        # Non-memory instructions issue at full width.
-        self.now += work / self.config.issue_width
-        self.inst_index += work + 1
-        self.result.instructions += work + 1
-        self._retire(self.inst_index)
-
-        if self.l1.access(block):
-            return  # L1 hit: latency hidden by the pipeline
-
-        entry = self.buffer.lookup(block)
+        if dep:
+            self.now = max(self.now, self._last_completion)
         if entry is not None:
-            self._prefetch_hit(self._pcs[i], block, dep, entry)
-        else:
-            self._demand_miss(self._pcs[i], block, dep)
-
-    # -- access handling ---------------------------------------------------
-    def _prefetch_hit(self, pc: int, block: int, dep: int, entry) -> None:
-        res = self.result
-        res.prefetch_hits += 1
-        if dep:
-            self.now = max(self.now, self._last_completion)
-        if entry.ready_time > self.now:
-            # Late prefetch: the remaining latency behaves like a
-            # shortened miss — a dependent access stalls for it, an
-            # independent one overlaps it in the ROB window.  The demand
-            # merges with the in-flight prefetch and promotes it to
-            # demand priority, so the wait never exceeds a fresh fetch.
-            completion = min(entry.ready_time,
-                             self.now + self.config.memory_latency_cycles)
-            res.late_prefetch_hits += 1
-            if dep:
-                self.now = completion
+            res.prefetch_hits += 1
+            if entry.ready_time > self.now:
+                # Late prefetch: the remaining latency behaves like a
+                # shortened miss — a dependent access stalls for it, an
+                # independent one overlaps it in the ROB window.  The
+                # demand merges with the in-flight prefetch and promotes
+                # it to demand priority, so the wait never exceeds a
+                # fresh fetch.
+                completion = min(entry.ready_time,
+                                 self.now + config.memory_latency_cycles)
+                res.late_prefetch_hits += 1
             else:
-                self._outstanding.append((completion, self.inst_index))
-                self._retire(self.inst_index)
-        else:
-            # Timely prefetch hit: the block is in the buffer, so the
-            # access costs an L1-hit latency — dependent accesses stall
-            # for it, independent ones carry it in the ROB window just
-            # like any other completed load.
-            completion = self.now + self.config.l1d.hit_latency
-            if dep:
-                self.now = completion
-            else:
-                self._outstanding.append((completion, self.inst_index))
-                self._retire(self.inst_index)
-        self._last_completion = completion
-        candidates = self.prefetcher.on_prefetch_hit(pc, block, entry.stream_id)
-        self._after_event(candidates)
-
-    def _demand_miss(self, pc: int, block: int, dep: int) -> None:
-        res = self.result
-        res.misses += 1
-        if dep:
-            self.now = max(self.now, self._last_completion)
-        if self.llc.access(block):
+                # Timely prefetch hit: the block is in the buffer, so
+                # the access costs an L1-hit latency like any other
+                # completed load.
+                completion = self.now + config.l1d.hit_latency
+        elif self.llc.access(block):
+            res.misses += 1
             res.llc_hits += 1
-            completion = self.now + self.config.llc_latency_cycles
+            completion = self.now + config.llc_latency_cycles
         else:
+            res.misses += 1
             res.memory_accesses += 1
             completion = self.dram.access(self.now, "demand")
         if dep:
@@ -214,8 +218,39 @@ class TimingSimulator:
             self._outstanding.append((completion, self.inst_index))
             self._retire(self.inst_index)
         self._last_completion = completion
-        candidates = self.prefetcher.on_miss(pc, block)
-        self._after_event(candidates)
+
+        # Charge new metadata transfers against the shared channel.
+        metadata = self.prefetcher.metadata
+        for _ in range(metadata.reads - self._md_reads):
+            self.dram.access(self.now, "metadata_read")
+        for _ in range(metadata.writes - self._md_writes):
+            self.dram.access(self.now, "metadata_write")
+        self._md_reads = metadata.reads
+        self._md_writes = metadata.writes
+
+    def _issue(self, block: int, stream_id: int) -> float | None:
+        """Shed the prefetch under backlog, else its arrival cycle."""
+        if self.dram.ledger.backlog(self.now) > self._drop_backlog:
+            # Channel saturated: shed the prefetch rather than queue it
+            # behind an unbounded backlog.
+            self.result.prefetches_dropped += 1
+            return None
+        if stream_id not in self._seen_streams:
+            self._seen_streams.add(stream_id)
+            metadata_delay = (self.prefetcher.first_prefetch_round_trips
+                              * self.config.memory_latency_cycles)
+        else:
+            metadata_delay = 0.0
+        # The serialised metadata round trips delay the block's arrival;
+        # the channel occupancy itself is charged at issue time so the
+        # single-server queue sees arrivals in order.
+        if self.llc.probe(block):
+            self.llc.access(block)  # LRU touch; no fill on a miss
+            ready = self.now + metadata_delay + self.config.llc_latency_cycles
+        else:
+            ready = self.dram.access(self.now, "prefetch_useful") + metadata_delay
+        self.result.prefetches_issued += 1
+        return ready
 
     def _retire(self, inst_index: int) -> None:
         """Stall when the ROB window or MSHR file is exhausted."""
@@ -233,55 +268,11 @@ class TimingSimulator:
                 continue
             break
 
-    # -- prefetch issue ---------------------------------------------------
-    def _after_event(self, candidates) -> None:
-        # Charge new metadata transfers against the shared channel.
-        metadata = self.prefetcher.metadata
-        for _ in range(metadata.reads - self._md_reads):
-            self.dram.access(self.now, "metadata_read")
-        for _ in range(metadata.writes - self._md_writes):
-            self.dram.access(self.now, "metadata_write")
-        self._md_reads = metadata.reads
-        self._md_writes = metadata.writes
-
-        for sid in self.prefetcher.take_killed_streams():
-            self.buffer.invalidate_stream(sid)
-
-        round_trip = self.config.memory_latency_cycles
-        drop_backlog = (self.config.prefetch_drop_backlog_blocks
-                        * self.config.cycles_per_block_transfer)
-        for block, sid in candidates:
-            if self.buffer.probe(block) or self.l1.probe(block):
-                continue
-            if self.dram.ledger.backlog(self.now) > drop_backlog:
-                # Channel saturated: shed the prefetch rather than queue
-                # it behind an unbounded backlog.
-                self.result.prefetches_dropped += 1
-                continue
-            if sid not in self._seen_streams:
-                self._seen_streams.add(sid)
-                metadata_delay = self.prefetcher.first_prefetch_round_trips * round_trip
-            else:
-                metadata_delay = 0.0
-            # The serialised metadata round trips delay the block's
-            # arrival; the channel occupancy itself is charged at issue
-            # time so the single-server queue sees arrivals in order.
-            if self.llc.probe(block):
-                self.llc.access(block)  # LRU touch; no fill on a miss
-                ready = self.now + metadata_delay + self.config.llc_latency_cycles
-            else:
-                ready = self.dram.access(self.now, "prefetch_useful") + metadata_delay
-            self.result.prefetches_issued += 1
-            victim = self.buffer.insert(block, sid, ready_time=ready)
-            if victim is not None:
-                self.prefetcher.on_buffer_eviction(
-                    victim.block, victim.stream_id, victim.used)
-
     # -- one-shot convenience -----------------------------------------------
-    def run(self, trace: MemoryTrace, warmup_frac: float = 0.0) -> TimingResult:
-        """Replay the whole trace; optionally exclude a leading warm-up
-        fraction from the reported instruction/cycle counts."""
-        self.load(trace, warmup=int(len(trace) * warmup_frac))
+    def run(self, trace: MemoryTrace, warmup: int = 0) -> TimingResult:
+        """Replay the whole trace; the leading ``warmup`` accesses train
+        caches and metadata but are excluded from the result."""
+        self.load(trace, warmup)
         while not self.done():
             self.step()
         return self.finalise()

@@ -12,9 +12,7 @@ sequence of demand data accesses, each carrying
 * ``work``   — the number of non-memory instructions executed since the
   previous access (drives the instruction count / IPC metric).
 
-The arrays are stored as parallel numpy vectors for compactness, with a
-fast path (:meth:`MemoryTrace.as_lists`) that converts to plain Python
-lists once so the per-access simulator loops never touch numpy scalars.
+The arrays are stored as parallel numpy vectors for compactness.
 """
 
 from __future__ import annotations
@@ -64,11 +62,6 @@ class MemoryTrace:
     def footprint_blocks(self) -> int:
         """Number of distinct blocks touched."""
         return int(np.unique(self.blocks).size)
-
-    def as_lists(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """Return (pcs, blocks, deps, works) as plain Python int lists."""
-        return (self.pcs.tolist(), self.blocks.tolist(),
-                self.deps.tolist(), self.works.tolist())
 
     def slice(self, start: int, stop: int) -> "MemoryTrace":
         """Sub-trace covering accesses [start, stop).

@@ -4,10 +4,12 @@ well-formed table at tiny sizes; a few shape assertions on the cheap ones."""
 import ast
 import importlib
 import pkgutil
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
+import repro
 import repro.experiments
 from repro.errors import UnknownExperimentError
 from repro.experiments import (ExperimentOptions, ExperimentResult,
@@ -61,6 +63,56 @@ def test_drivers_import_no_simulation_engine():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                     for alias in node.names}
         assert not imported & engines, path.name
+
+
+def _calls_by_function(path: Path, root: Path):
+    """``(qualified function, ast.Call)`` for every call in ``path``;
+    the function is the innermost ``def`` around the call."""
+    module = path.relative_to(root).with_suffix("").as_posix()
+    found = []
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self) -> None:
+            self.scope = [module]
+
+        def visit_scope(self, node) -> None:
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
+
+        def visit_Call(self, node: ast.Call) -> None:
+            found.append((".".join(self.scope), node))
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(path.read_text()))
+    return found
+
+
+def test_event_path_exists_once():
+    """One simulation core: the trigger -> buffer -> prefetcher -> issue
+    sequence is called from one function under ``repro.sim``, and only
+    the filter build's scalar kernel simulates an L1 ``Cache``."""
+    src = Path(repro.__file__).parent
+    path_calls = ("on_miss", "on_prefetch_hit", "take_killed_streams",
+                  "on_buffer_eviction", "insert")
+    callers = defaultdict(set)
+    l1_caches = set()
+    for path in sorted(src.rglob("*.py")):
+        in_sim = path.parent == src / "sim"
+        for function, call in _calls_by_function(path, src):
+            func = call.func
+            if in_sim and isinstance(func, ast.Attribute) and func.attr in path_calls:
+                callers[func.attr].add(function)
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if name == "Cache" and any(
+                    isinstance(node, ast.Attribute) and node.attr == "l1d"
+                    for arg in call.args for node in ast.walk(arg)):
+                l1_caches.add(function)
+    assert {name: len(callers[name]) for name in path_calls} == dict.fromkeys(
+        path_calls, 1), dict(callers)
+    assert l1_caches == {"sim/fastpath._build_arrays_scalar"}
 
 
 def test_cells_use_exactly_the_registered_prefetchers(monkeypatch):

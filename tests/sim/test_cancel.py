@@ -14,6 +14,8 @@ from repro.errors import ConfigError, JobCancelled
 from repro.prefetchers.stms import StmsPrefetcher
 from repro.sim.engine import TraceSimulator, simulate_trace
 from repro.sim.fastpath import build_l1_filter
+from repro.sim.multicore import simulate_multicore
+from repro.sim.timing import TimingSimulator
 
 
 class FakeClock:
@@ -24,6 +26,26 @@ class FakeClock:
 
     def __call__(self) -> float:
         return self.now
+
+
+class ProgressClock:
+    """A fake clock that reads simulated progress: a token on it passes
+    its deadline once the engine has published ``deadline_s`` accesses,
+    at whichever checkpoint comes first after that."""
+
+    def __init__(self) -> None:
+        self.token: CancelToken | None = None
+
+    def __call__(self) -> float:
+        return float(self.token.progress) if self.token is not None else 0.0
+
+
+def progress_deadline(accesses: int, check_every: int = 64) -> CancelToken:
+    clock = ProgressClock()
+    token = CancelToken(deadline_s=accesses, check_every=check_every,
+                        clock=clock)
+    clock.token = token
+    return token
 
 
 class TestToken:
@@ -246,3 +268,51 @@ class TestEngineCheckpoints:
         token.cancel("client_cancel")
         with cancel_scope(token), pytest.raises(JobCancelled):
             build_l1_filter(tiny_trace, config)
+
+
+class TestTimingCheckpoints:
+    """The cycle model checkpoints like the trace engine: every core
+    against its own access index, metering the accesses it simulated."""
+
+    @pytest.fixture
+    def core_traces(self, config, tiny_trace):
+        step = len(tiny_trace) // config.n_cores
+        return [tiny_trace.slice(core * step, (core + 1) * step)
+                for core in range(config.n_cores)]
+
+    def test_uncancelled_timing_run_is_bit_identical(self, config, tiny_trace):
+        baseline = TimingSimulator(config, StmsPrefetcher(config)).run(
+            tiny_trace, warmup=len(tiny_trace) // 2)
+        token = CancelToken(check_every=64)
+        with cancel_scope(token):
+            metered = TimingSimulator(config, StmsPrefetcher(config)).run(
+                tiny_trace, warmup=len(tiny_trace) // 2)
+        assert metered == baseline
+        assert token.progress == len(tiny_trace)
+
+    def test_uncancelled_multicore_meters_every_core(self, config,
+                                                     core_traces):
+        baseline = simulate_multicore(core_traces, config, "stms")
+        token = CancelToken(check_every=64)
+        with cancel_scope(token):
+            metered = simulate_multicore(core_traces, config, "stms")
+        assert metered == baseline
+        assert token.progress == sum(len(t) for t in core_traces)
+
+    def test_timing_run_cancels_midway(self, config, tiny_trace):
+        token = progress_deadline(len(tiny_trace) // 3)
+        with cancel_scope(token), pytest.raises(JobCancelled) as exc_info:
+            TimingSimulator(config, StmsPrefetcher(config)).run(tiny_trace)
+        assert exc_info.value.reason == REASON_DEADLINE
+        assert 0 < token.progress < len(tiny_trace)
+
+    def test_multicore_cancels_midway(self, config, core_traces):
+        total = sum(len(t) for t in core_traces)
+        token = progress_deadline(total // 3)
+        with cancel_scope(token), pytest.raises(JobCancelled) as exc_info:
+            simulate_multicore(core_traces, config, "stms")
+        assert exc_info.value.reason == REASON_DEADLINE
+        assert 0 < token.progress < total
+        # Bounded staleness: each of the cores overshoots the deadline
+        # by less than one check window.
+        assert token.progress <= total // 3 + config.n_cores * 64

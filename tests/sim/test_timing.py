@@ -166,6 +166,14 @@ class TestOutstandingDrain:
         assert sim.finalise().cycles == first
         assert not sim._outstanding
 
+    def test_step_past_end_rejected(self, config, trace_factory):
+        sim = TimingSimulator(config, NullPrefetcher(config))
+        sim.load(trace_factory([100, 100, 200]))
+        while not sim.done():
+            sim.step()
+        with pytest.raises(SimulationError):
+            sim.step()
+
 
 class TestTimelyIndependentPrefetchHit:
     """A timely prefetch hit costs the L1 hit latency on every path."""
@@ -253,7 +261,7 @@ class TestWarmupWindow:
     def test_warmup_excluded(self, config, tiny_trace):
         full = TimingSimulator(config, NullPrefetcher(config)).run(tiny_trace)
         windowed = TimingSimulator(config, NullPrefetcher(config)).run(
-            tiny_trace, warmup_frac=0.5)
+            tiny_trace, warmup=len(tiny_trace) // 2)
         assert windowed.instructions < full.instructions
         assert 0 < windowed.cycles < full.cycles
 
@@ -267,13 +275,13 @@ class TestWarmupValidation:
 
     def test_negative_warmup_rejected(self, config, tiny_trace):
         with pytest.raises(SimulationError):
-            TimingSimulator(config).run(tiny_trace, warmup_frac=-0.5)
+            TimingSimulator(config).run(tiny_trace, warmup=-1)
 
     def test_whole_trace_warmup_rejected(self, config, tiny_trace):
-        # The snapshot at i == warmup would never fire, so the result
+        # The reset at i == warmup would never fire, so the result
         # would silently include the warm-up window.
         with pytest.raises(SimulationError):
-            TimingSimulator(config).run(tiny_trace, warmup_frac=1.0)
+            TimingSimulator(config).run(tiny_trace, warmup=len(tiny_trace))
         with pytest.raises(SimulationError):
             simulate_multicore([tiny_trace] * config.n_cores, config,
                                "baseline", warmup_frac=1.0)

@@ -48,10 +48,6 @@ class TestMemoryTrace:
         with pytest.raises(TraceError):
             trace_factory([1, 2, 3]).slice(start, stop)
 
-    def test_as_lists_returns_python_ints(self, trace_factory):
-        pcs, blocks, deps, works = trace_factory([1, 2]).as_lists()
-        assert all(type(v) is int for v in blocks)
-
 
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path, trace_factory):
