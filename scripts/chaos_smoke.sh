@@ -3,15 +3,17 @@
 #
 # Five gates, all deterministic (fault rolls are pure functions of the
 # fault seed + cell key + attempt, so a passing combination passes on
-# every machine, forever):
+# every machine for as long as the cell keys stay the same):
 #
 #   1. crash chaos   — fig11 under a 30% injected crash rate with a
 #                      retry budget must still exit 0 and print the
 #                      same table as a clean run.
 #   2. serial parity — the same chaos run at --jobs 1 must produce the
 #                      identical table (parallel == serial under faults).
-#   3. kill + resume — a journaled run killed mid-flight and resumed
-#                      must leave bit-identical cached payloads vs an
+#   3. kill + re-run — a run killed with kill -9 after it persisted
+#                      two cells, then run again on the same cache, must
+#                      serve those cells as hits, execute the rest, and
+#                      leave bit-identical cached payloads vs an
 #                      uninterrupted run in a fresh cache.
 #   4. shm hygiene   — a pooled run whose workers are killed with
 #                      os._exit (the harshest worker death: no atexit,
@@ -61,28 +63,46 @@ grep -v '^\[runner\]\|^([0-9]' "$WORK/chaos-ser.txt" > "$WORK/ser-table.txt"
 diff -u "$WORK/par-table.txt" "$WORK/ser-table.txt"
 echo "tables identical"
 
-echo "== gate 3: kill -9 mid-run, then --resume =="
+echo "== gate 3: kill -9 mid-run, then re-run on the same cache =="
 # Uninterrupted reference run in its own cache.
 $RUN --cache-dir "$WORK/ref-cache" --jobs 2 > /dev/null
 
-# Journaled run, killed while cells are still executing.  Serial jobs
-# keep the journal in the killed process itself, which is the harsher
-# crash to recover from.  Waiting for the checkpoint file (created when
-# the scheduler starts, before any cell completes) makes the kill land
-# mid-run regardless of machine speed.
+# Serial run whose third cell hangs (the fault roll for this seed is
+# deterministic), killed once the two cells before it are persisted:
+# the kill always lands mid-run, after some work and before the rest.
+# The roll depends on the cell keys, so a change to them (CODE_VERSION,
+# the options) can move the hang: re-pick the seed so that the third
+# cell hangs again.
+cells_persisted () {
+  find "$1" -name '*.json' -exec grep -l '"kind":"cell"' {} + 2>/dev/null | wc -l
+}
 set +e
-$RUN --cache-dir "$WORK/cache" --run-id smoke --jobs 1 > /dev/null 2>&1 &
+$RUN --cache-dir "$WORK/cache" --jobs 1 \
+  --inject-faults hang:0.3,hang_s:60,seed:6 > /dev/null 2>&1 &
 PID=$!
-for _ in $(seq 100); do
-  [ -f "$WORK/cache/runs/smoke.ckpt" ] && break
+for _ in $(seq 600); do
+  [ "$(cells_persisted "$WORK/cache")" -ge 2 ] && break
   sleep 0.1
 done
+if ! kill -0 "$PID" 2>/dev/null; then
+  echo "gate 3: the run ended before the kill; seed:6 no longer hangs a" \
+       "later cell, re-pick it" >&2
+  exit 1
+fi
 kill -9 "$PID" 2>/dev/null
 wait "$PID" 2>/dev/null
 set -e
+if [ "$(cells_persisted "$WORK/cache")" -lt 2 ]; then
+  echo "gate 3: fewer than two cells persisted before the kill; seed:6" \
+       "hangs an earlier cell, re-pick it" >&2
+  exit 1
+fi
 
-$RUN --cache-dir "$WORK/cache" --resume smoke --jobs 2 | tee "$WORK/resumed.txt"
-grep -q 'resumed run' "$WORK/resumed.txt" || true
+# The same command again, without faults: the store serves the
+# finished cells and only the rest execute.
+$RUN --cache-dir "$WORK/cache" --jobs 2 | tee "$WORK/rerun.txt"
+grep -q '^\[runner\] [0-9]* cells: [1-9][0-9]* cache hits, [1-9][0-9]* executed' \
+  "$WORK/rerun.txt"
 
 # Bit-identical payloads: hash every committed artifact (*.json only;
 # a kill -9 may leave harmless *.tmp staging files behind).
@@ -90,9 +110,9 @@ hash_cache () {
   (cd "$1" && find . -name '*.json' | sort | xargs sha256sum)
 }
 hash_cache "$WORK/ref-cache" > "$WORK/ref.sha"
-hash_cache "$WORK/cache"     > "$WORK/resumed.sha"
-diff -u "$WORK/ref.sha" "$WORK/resumed.sha"
-echo "resumed cache bit-identical to uninterrupted run"
+hash_cache "$WORK/cache"     > "$WORK/rerun.sha"
+diff -u "$WORK/ref.sha" "$WORK/rerun.sha"
+echo "re-run reused the killed run's cells; cache bit-identical to uninterrupted run"
 
 echo "== gate 4: worker kill -9 leaks no shared-memory segments =="
 # exit:P makes workers die via os._exit mid-cell (skipping all worker

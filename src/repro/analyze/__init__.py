@@ -13,7 +13,7 @@ PICKLE001  runner-registered callables must be module-level (picklable)
 ERR001     no raise Exception/RuntimeError or assert control flow in src/
 OBS001     obs event/metric names must come from repro.obs.names
 OBS002     spans use registered names, ``with`` form only
-IO001      durable writes in runner/store.py + checkpoint.py must fsync
+IO001      durable writes in runner/store.py must fsync
 CONC001    thread-shared mutable module state written without the lock
            that guards its other access sites
 CONC002    blocking call reachable from ``async def`` without a

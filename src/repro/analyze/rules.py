@@ -534,12 +534,12 @@ class DurableWritesFsync(Rule):
     code = "IO001"
     title = "durable write without fsync"
     severity = "error"
-    rationale = ("The checkpoint journal treats a journaled key as durably "
-                 "done, which is only true if every byte that reached the "
-                 "artifact store was fsync'd before the atomic rename; a "
-                 "write path without os.fsync silently weakens crash "
-                 "safety.")
-    scope = ("runner/store.py", "runner/checkpoint.py")
+    rationale = ("A stored artifact is what a re-run of a killed sweep "
+                 "serves as a finished cell, which is only safe if every "
+                 "byte that reached the artifact store was fsync'd before "
+                 "the atomic rename; a write path without os.fsync "
+                 "silently weakens crash safety.")
+    scope = ("runner/store.py",)
 
     _WRITE_ATTRS = frozenset({"write", "writelines"})
 

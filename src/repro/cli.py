@@ -6,8 +6,7 @@ Subcommands::
     domino-repro run fig11 [--quick] [--workloads oltp,web_apache] [--n 200000]
     domino-repro run all [--quick] [--jobs 4] [--no-cache]
     domino-repro run fig11 --trace-events t.jsonl [--profile] [--log-level debug]
-    domino-repro run all --run-id nightly [--retries 3] [--timeout-s 600]
-    domino-repro run all --resume nightly # continue a killed run
+    domino-repro run all [--retries 3] [--timeout-s 600]
     domino-repro compare --workload oltp [--degree 4] [--n 200000]
     domino-repro trace --workload oltp --n 100000 --out oltp.npz
     domino-repro cache stats|clear|gc     # artifact-store maintenance
@@ -25,10 +24,11 @@ Runs are fault tolerant (see docs/ROBUSTNESS.md): a crashed or hung
 cell is retried ``--retries`` times with exponential backoff, bounded
 by ``--timeout-s``; cells that exhaust the budget are reported as
 failed, the surviving cells still render, and the process exits with
-code 3 (``EXIT_PARTIAL``) instead of aborting.  ``--run-id NAME``
-journals completed cells so ``--resume NAME`` restarts a killed run
-where it left off, bit-identically.  The hidden ``--inject-faults``
-flag drives the deterministic chaos harness in :mod:`repro.faults`.
+code 3 (``EXIT_PARTIAL``) instead of aborting.  Each finished cell is
+persisted as it completes, so a killed run finishes when the same
+command runs again on the same cache: the finished cells are cache
+hits, bit-identically.  The hidden ``--inject-faults`` flag drives the
+deterministic chaos harness in :mod:`repro.faults`.
 
 ``serve`` turns the evaluator into a long-running multi-tenant server
 (see docs/SERVING.md): clients submit job specs over a Unix or TCP
@@ -150,22 +150,12 @@ def _write_trace(path: str) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from . import obs
-    from .errors import CheckpointError, ConfigError
+    from .errors import ConfigError
     from .faults import parse_fault_spec
     from .obs.trace import span
-    from .runner import (CheckpointJournal, ExecutionPolicy, ResultStore,
-                         get_policy, set_policy)
+    from .runner import ExecutionPolicy, get_policy, set_policy
     from .stats.reporting import bar_chart, render_manifest, to_csv, to_markdown
 
-    if args.resume and args.run_id:
-        print("error: --resume already names the run; drop --run-id",
-              file=sys.stderr)
-        return EXIT_USAGE
-    run_id = args.resume or args.run_id
-    if run_id and args.no_cache:
-        print("error: --run-id/--resume need the artifact cache "
-              "(remove --no-cache)", file=sys.stderr)
-        return EXIT_USAGE
     try:
         faults = (parse_fault_spec(args.inject_faults)
                   if args.inject_faults else None)
@@ -185,19 +175,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                retries=args.retries,
                                timeout_s=args.timeout_s,
                                keep_going=True,
-                               run_id=run_id,
-                               resume=bool(args.resume),
                                faults=faults))
     try:
-        if run_id and not args.resume:
-            # One run, one journal: started fresh here, appended to by
-            # every experiment's run_cells call.
-            CheckpointJournal.open(ResultStore(args.cache_dir).base, run_id).close()
         for experiment_id in ids:
             start = time.time()
             run_scope.info(obs_names.EVT_EXPERIMENT_START, experiment=experiment_id)
             with span(obs_names.SPAN_EXPERIMENT, experiment=experiment_id), \
-                    obs.timed(f"experiment.{experiment_id}", emit=False):
+                    obs.timed(f"experiment.{experiment_id}"):
                 result = run_experiment(experiment_id, options)
             if args.format == "md":
                 print(to_markdown(result.headers, result.rows, title=result.title))
@@ -231,9 +215,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     print(f"[profile] {cum_s:8.3f}s {ncalls:>10} {func}")
             if args.trace_events:
                 _write_trace(args.trace_events)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     finally:
         obs.disable()
         set_policy(previous_policy)
@@ -514,12 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--timeout-s", type=_positive_float, default=None,
                        metavar="S", help="per-cell wall-clock timeout; hung "
                                          "cells are killed and retried")
-    run_p.add_argument("--run-id", default=None, metavar="ID",
-                       help="journal completed cells under ID so the run "
-                            "can be resumed after a crash")
-    run_p.add_argument("--resume", default=None, metavar="RUN_ID",
-                       help="resume a journaled run: completed cells are "
-                            "served from the cache, bit-identically")
     run_p.add_argument("--inject-faults", default=None, metavar="SPEC",
                        help=argparse.SUPPRESS)  # chaos harness; see repro.faults
     run_p.add_argument("--trace-events", default=None, metavar="PATH",

@@ -141,7 +141,7 @@ class DominoPrefetcher(GlobalHistoryPrefetcher):
             # leave its speculative first prefetch in the buffer — under
             # interleaved request streams the confirmation event often
             # belongs to another context, and the speculative block may
-            # well be consumed when this context resumes.  (The paper
+            # well be consumed when this context continues.  (The paper
             # discards buffer contents only on LRU stream *replacement*.)
             self.streams.remove(sid)
             return []

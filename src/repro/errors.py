@@ -56,10 +56,6 @@ class CellFailedError(RunnerError):
     """A cell exhausted its retry budget and the run is not degradable."""
 
 
-class CheckpointError(RunnerError):
-    """A checkpoint journal is missing, unreadable, or inconsistent."""
-
-
 class JobCancelled(ReproError):
     """A job was cooperatively cancelled mid-run.
 

@@ -3,9 +3,9 @@
 Per Section IV-D of the paper, *all* evaluated prefetchers prefetch into
 a small buffer near the L1-D (capacity 32 blocks) rather than into the
 cache itself, so useless prefetches pollute only the buffer.  The buffer
-is fully associative with FIFO-of-insertion replacement and tracks, for
-every block, whether it was ever consumed by a demand access — evicting
-an unconsumed block is an *overprediction* in the paper's terminology.
+is fully associative with FIFO-of-insertion replacement.  A demand hit
+consumes (removes) its entry, so every block that leaves any other way
+was never used — an *overprediction* in the paper's terminology.
 
 Each entry also records the stream id that produced it (so a prefetch
 hit can advance the right active stream) and a ``ready_time`` used by the
@@ -25,7 +25,6 @@ class BufferEntry:
     block: int
     stream_id: int
     ready_time: float = 0.0
-    used: bool = False
 
 
 @dataclass
@@ -33,7 +32,6 @@ class PrefetchBufferStats:
     inserted: int = 0
     hits: int = 0
     evicted_unused: int = 0
-    evicted_used: int = 0
     duplicates_dropped: int = 0
 
 
@@ -60,8 +58,8 @@ class PrefetchBuffer:
         """Insert a prefetched block; returns the evicted entry, if any.
 
         A duplicate insert refreshes nothing and is dropped (the block is
-        already on its way); the evicted entry, when unconsumed, is what
-        the engine counts as an overprediction.
+        already on its way); the evicted entry is what the engine counts
+        as an overprediction.
         """
         if block in self._entries:
             self.stats.duplicates_dropped += 1
@@ -69,10 +67,7 @@ class PrefetchBuffer:
         victim: BufferEntry | None = None
         if len(self._entries) >= self.capacity:
             _, victim = self._entries.popitem(last=False)
-            if victim.used:
-                self.stats.evicted_used += 1
-            else:
-                self.stats.evicted_unused += 1
+            self.stats.evicted_unused += 1
         self._entries[block] = BufferEntry(block, stream_id, ready_time)
         self.stats.inserted += 1
         return victim
@@ -80,10 +75,8 @@ class PrefetchBuffer:
     def lookup(self, block: int) -> BufferEntry | None:
         """Demand lookup.  On a hit the entry is consumed (removed)."""
         entry = self._entries.pop(block, None)
-        if entry is None:
-            return None
-        entry.used = True
-        self.stats.hits += 1
+        if entry is not None:
+            self.stats.hits += 1
         return entry
 
     def probe(self, block: int) -> bool:
@@ -91,27 +84,20 @@ class PrefetchBuffer:
         return block in self._entries
 
     def invalidate_stream(self, stream_id: int) -> int:
-        """Drop all blocks fetched by ``stream_id``; unconsumed drops count
-        as overpredictions (the paper discards the Prefetch Buffer contents
+        """Drop all blocks fetched by ``stream_id``; the drops count as
+        overpredictions (the paper discards the Prefetch Buffer contents
         of a replaced stream).  Returns the number of blocks dropped."""
         doomed = [b for b, e in self._entries.items() if e.stream_id == stream_id]
         for b in doomed:
-            entry = self._entries.pop(b)
-            if entry.used:
-                self.stats.evicted_used += 1
-            else:
-                self.stats.evicted_unused += 1
+            del self._entries[b]
+        self.stats.evicted_unused += len(doomed)
         return len(doomed)
 
     def drain(self) -> list[BufferEntry]:
-        """Empty the buffer, counting unconsumed entries as unused
-        (called at end of simulation so totals balance)."""
+        """Empty the buffer, counting the leftovers as unused (called at
+        end of simulation so totals balance)."""
         leftovers = list(self._entries.values())
-        for entry in leftovers:
-            if entry.used:
-                self.stats.evicted_used += 1
-            else:
-                self.stats.evicted_unused += 1
+        self.stats.evicted_unused += len(leftovers)
         self._entries.clear()
         return leftovers
 

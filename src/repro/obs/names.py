@@ -30,7 +30,6 @@ from __future__ import annotations
 # -- sim.engine events ------------------------------------------------------
 EVT_TRIGGER = "trigger"                    # one triggering event (miss or prefetch hit)
 EVT_PREFETCH = "prefetch"                  # one candidate inserted into the buffer
-EVT_EVICTION = "eviction"                  # used block evicted from the buffer
 EVT_OVERPREDICTION = "overprediction"      # unused block evicted from the buffer
 EVT_RUN_COMPLETE = "run_complete"          # one trace-driven simulation finished
 
@@ -56,9 +55,6 @@ EVT_CELL_TIMEOUT = "cell_timeout"          # attempt exceeded the wall-clock bud
 EVT_CELL_FAILED = "cell_failed"            # retry budget exhausted
 EVT_POOL_START = "pool_start"              # worker pool spun up
 EVT_POOL_REBUILD = "pool_rebuild"          # pool torn down after a hung cell
-EVT_RUN_RESUMED = "run_resumed"            # checkpoint journal loaded
-EVT_CHECKPOINT_SKIP = "checkpoint_skip"    # journaled cell served from the store
-EVT_CHECKPOINT_MISSING_ARTIFACT = "checkpoint_missing_artifact"
 EVT_FAULT_CORRUPT_ARTIFACT = "fault_corrupt_artifact"  # chaos harness clobbered a put
 EVT_RUN_SUMMARY = "run_summary"            # end-of-run scheduler accounting
 
@@ -86,7 +82,6 @@ EVT_EXPERIMENT_END = "experiment_end"
 EVT_MANIFEST = "manifest"                  # run manifest embedded in the trace
 
 # -- obs-internal events (written by the framework, not via a Scope) --------
-EVT_SECTION_END = "section_end"            # obs.timed() debug record
 EVT_TRACE_INFO = "trace_info"              # trailer: event/drop accounting
 EVT_METRICS_SNAPSHOT = "metrics_snapshot"  # trailer: embedded registry snapshot
 EVT_SPAN = "span"                          # one finished causal span record
@@ -95,7 +90,6 @@ EVT_SPAN = "span"                          # one finished causal span record
 MET_TRIGGER_MISS = "trigger_miss"
 MET_TRIGGER_PREFETCH_HIT = "trigger_prefetch_hit"
 MET_PREFETCH_ISSUED = "prefetch_issued"
-MET_EVICTION_USED = "eviction_used"
 MET_OVERPREDICTION = "overprediction"
 
 # -- sim.fastpath / runner.fastpath counters --------------------------------

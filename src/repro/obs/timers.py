@@ -1,10 +1,10 @@
 """Phase timers and the opt-in cProfile hook.
 
 ``with timed("simulate"):`` records one wall-clock (and CPU) sample
-into the active registry's ``time.<section>_s`` histograms and, at
-debug level, emits a ``section_end`` event.  When telemetry is off the
-context manager body runs with nothing but two ``perf_counter`` calls
-of overhead — cheap enough to leave in place permanently.
+into the active registry's ``time.<section>_s`` histograms, which
+``obs summary``'s timing table reads.  When telemetry is off the
+context manager body runs with nothing but one state lookup of
+overhead — cheap enough to leave in place permanently.
 
 :func:`profile_call` wraps one callable in ``cProfile`` and condenses
 the result to its top rows by cumulative time — small, picklable, and
@@ -18,12 +18,11 @@ from contextlib import contextmanager
 from collections.abc import Callable, Iterator
 from typing import Any
 
-from . import names, runtime
-from .events import DEBUG
+from . import runtime
 
 
 @contextmanager
-def timed(section: str, emit: bool = True) -> Iterator[None]:
+def timed(section: str) -> Iterator[None]:
     """Time a section into ``time.<section>_s`` histograms."""
     st = runtime.state()
     if st is None:
@@ -38,10 +37,6 @@ def timed(section: str, emit: bool = True) -> Iterator[None]:
         cpu = time.process_time() - cpu0
         st.registry.histogram(f"time.{section}_s").observe(wall)
         st.registry.histogram(f"time.{section}_cpu_s").observe(cpu)
-        if emit:
-            st.trace.emit("obs.timer", names.EVT_SECTION_END, DEBUG,
-                          section=section, wall_s=round(wall, 6),
-                          cpu_s=round(cpu, 6))
 
 
 #: Rows kept per profiled runner cell.

@@ -57,8 +57,8 @@ class Prefetcher(ABC):
         return []
 
     # -- feedback ----------------------------------------------------------
-    def on_buffer_eviction(self, block: int, stream_id: int, used: bool) -> None:
-        """A block left the prefetch buffer (used or displaced unused)."""
+    def on_buffer_eviction(self, block: int, stream_id: int) -> None:
+        """A block was displaced from the prefetch buffer unused."""
 
     def take_killed_streams(self) -> list[int]:
         """Stream ids discarded since the last call (engine drops their

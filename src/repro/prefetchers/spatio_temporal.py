@@ -79,13 +79,13 @@ class SpatioTemporalPrefetcher(Prefetcher):
         self._collect_kills()
         return out
 
-    def on_buffer_eviction(self, block: int, stream_id: int, used: bool) -> None:
+    def on_buffer_eviction(self, block: int, stream_id: int) -> None:
         owner = self._owner_of(stream_id)
         inner = self._inner_sid(stream_id)
         if owner == self._VLDP:
-            self.vldp.on_buffer_eviction(block, inner, used)
+            self.vldp.on_buffer_eviction(block, inner)
         else:
-            self.domino.on_buffer_eviction(block, inner, used)
+            self.domino.on_buffer_eviction(block, inner)
 
     def _collect_kills(self) -> None:
         for sid in self.vldp.take_killed_streams():

@@ -81,9 +81,7 @@ class GlobalHistoryPrefetcher(Prefetcher):
         self.streams.promote(stream_id)
         return self._issue(stream, 1)
 
-    def on_buffer_eviction(self, block: int, stream_id: int, used: bool) -> None:
-        if used:
-            return
+    def on_buffer_eviction(self, block: int, stream_id: int) -> None:
         stream = self.streams.get(stream_id)
         if stream is None:
             return

@@ -13,10 +13,10 @@ The engine is fault tolerant (see docs/ROBUSTNESS.md): worker crashes,
 hangs, and deaths are isolated to the cell that suffered them, retried
 with exponential backoff, bounded by a per-cell timeout watchdog, and —
 under a degradable policy — surfaced as partial results rather than an
-aborted run.  Long sweeps journal completed cells to a checkpoint so a
-killed run resumes bit-identically (:mod:`repro.runner.checkpoint`),
-and every failure path is exercised deterministically by the fault
-injection harness in :mod:`repro.faults`.
+aborted run.  Every finished cell is persisted the moment it completes,
+so a killed run finishes when the same command runs again on the same
+cache, bit-identically, and every failure path is exercised
+deterministically by the fault injection harness in :mod:`repro.faults`.
 
 Layering: ``runner`` sits *below* :mod:`repro.experiments` — it knows
 how to execute a cell from first principles (workload suite, simulator,
@@ -27,7 +27,6 @@ See ``docs/RUNNER.md`` for the cell model and cache-invalidation rules.
 """
 
 from .cells import CODE_VERSION, Cell, cell_config, cell_key
-from .checkpoint import CheckpointJournal
 from .execute import CellTelemetry
 from .manifest import CELL_STATUSES
 from .manifest import SCHEMA_VERSION as MANIFEST_SCHEMA_VERSION
@@ -42,7 +41,6 @@ __all__ = [
     "Cell",
     "CellRecord",
     "CellTelemetry",
-    "CheckpointJournal",
     "ExecutionPolicy",
     "ResultStore",
     "RunManifest",

@@ -20,11 +20,10 @@ everything that determines its result:
 
 Execution-policy knobs (worker count, cache directory, retry budget,
 timeout, fault plan) never enter the key: they affect *how* a cell
-runs, not *what* it computes.  The same key doubles as the cell's
-identity in checkpoint journals (:mod:`repro.runner.checkpoint`) — a
-resumed run recomputes keys from its cell list and skips the journaled
-ones — and as the unit of deterministic fault injection
-(:mod:`repro.faults` rolls per ``(key, attempt)``).
+runs, not *what* it computes.  The same key is what lets a re-run of a
+killed sweep serve its finished cells from the store, and it is the
+unit of deterministic fault injection (:mod:`repro.faults` rolls per
+``(key, attempt)``).
 """
 
 from __future__ import annotations

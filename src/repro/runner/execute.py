@@ -144,8 +144,8 @@ def _l1_filter(cell: Cell, options: Any) -> fastpath.L1Filter:
 
     Resolution order: the shared artifact store (``kind="l1_filter"``),
     then a fresh build from the generated trace (persisted back to the
-    store for every other cell, worker, and ``--resume`` of the same
-    grid).  A store hit skips trace generation entirely — the key is
+    store for every other cell, worker, and re-run of the same grid).
+    A store hit skips trace generation entirely — the key is
     computable without the trace.  The store is the only cross-cell
     filter cache; a load costs a small fraction of a build
     (docs/FASTPATH.md §2).

@@ -13,8 +13,8 @@ of with a ``KeyError`` three stack frames later.  Schema v2 added
 per-cell CPU time (``cpu_s``) next to wall time, which is what makes
 the worker-utilization accounting in ``obs summary`` possible.  Schema
 v3 added the fault-tolerance fields: per-cell ``status`` / ``attempts``
-/ ``error`` and the run's ``run_id``, so a degraded run's manifest
-records exactly which cells failed, timed out, or needed retries.
+/ ``error``, so a degraded run's manifest records exactly which cells
+failed, timed out, or needed retries.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ class CellRecord:
     """Outcome of one cell within a run.
 
     ``status`` is one of :data:`CELL_STATUSES`: ``hit`` (served from the
-    artifact cache or a resumed checkpoint), ``ok`` (executed first
-    try), ``retried`` (executed after >= 1 failed attempts), ``failed``
-    / ``timeout`` (retry budget exhausted; ``error`` holds the last
-    failure, the payload slot holds ``None``).
+    artifact cache), ``ok`` (executed first try), ``retried`` (executed
+    after >= 1 failed attempts), ``failed`` / ``timeout`` (retry budget
+    exhausted; ``error`` holds the last failure, the payload slot holds
+    ``None``).
     """
 
     key: str
@@ -69,8 +69,6 @@ class RunManifest:
     cache_enabled: bool = True
     #: "serial", "pool", or "serial-fallback" (pool unavailable).
     mode: str = "serial"
-    #: Checkpoint run id, "" when the run is not journaled.
-    run_id: str = ""
     cells: list[CellRecord] = field(default_factory=list)
     wall_s: float = 0.0
 
@@ -147,7 +145,6 @@ class RunManifest:
             "jobs": self.jobs,
             "cache_enabled": self.cache_enabled,
             "mode": self.mode,
-            "run_id": self.run_id,
             "wall_s": self.wall_s,
             "executed_s": self.executed_s,
             "executed_cpu_s": self.executed_cpu_s,
@@ -179,7 +176,6 @@ class RunManifest:
         manifest = cls(jobs=int(data.get("jobs", 1)),
                        cache_enabled=bool(data.get("cache_enabled", True)),
                        mode=str(data.get("mode", "serial")),
-                       run_id=str(data.get("run_id", "")),
                        wall_s=float(data.get("wall_s", 0.0)))
         try:
             for cell in data.get("cells", []):

@@ -19,11 +19,9 @@ block the run forever: when a cell blows its wall-clock deadline the
 pool is torn down with ``terminate()``, innocent in-flight cells are
 resubmitted without penalty, and the hung cell is retried or failed.
 
-Checkpoint/resume: with ``policy.run_id`` set, every durably persisted
-cell key is appended (atomic append + fsync) to the run's journal
-``<cache>/runs/<run-id>.ckpt``, which ``domino-repro run`` starts fresh
-once for all its experiments; a resumed run loads the journal and
-serves those cells from the store, bit-identical.
+Resume is a re-run: every payload is persisted to the store the moment
+its cell completes, so a killed sweep run again on the same cache
+serves the finished cells as hits and executes only the rest.
 
 The execution policy (worker count, cache on/off, retries, timeout,
 fault plan) is a process-wide setting written by the CLI before
@@ -46,13 +44,11 @@ from ..backoff import backoff_delay
 from ..cancel import CancelToken, cancel_scope
 from ..obs import names as obs_names
 from ..obs.trace import current_span, span
-from ..errors import (CellFailedError, CheckpointError, JobCancelled,
-                      RunnerTimeoutError)
+from ..errors import CellFailedError, JobCancelled, RunnerTimeoutError
 from ..faults import FaultPlan, corrupt_artifact
 from ..workloads.suite import WorkloadSuite
 from . import shm
 from .cells import Cell, cell_key
-from .checkpoint import CheckpointJournal
 from .execute import CellTelemetry, execute_timed, reads_trace
 from .manifest import RunManifest
 from .store import ResultStore
@@ -101,9 +97,6 @@ class ExecutionPolicy:
         When True, cells that exhaust retries yield ``None`` payloads
         and the run completes (graceful degradation); when False the
         first exhausted cell raises :class:`CellFailedError`.
-    ``run_id`` / ``resume``
-        Checkpoint journaling (requires ``use_cache``); see
-        :mod:`repro.runner.checkpoint`.
     ``faults``
         Deterministic fault-injection plan (chaos testing); see
         :mod:`repro.faults`.
@@ -115,8 +108,6 @@ class ExecutionPolicy:
     retries: int = 0
     timeout_s: float | None = None
     keep_going: bool = False
-    run_id: str | None = None
-    resume: bool = False
     faults: FaultPlan | None = None
 
     def __post_init__(self) -> None:
@@ -126,8 +117,6 @@ class ExecutionPolicy:
             raise ValueError("retries must be >= 0")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive (or None)")
-        if self.resume and not self.run_id:
-            raise ValueError("resume requires a run_id")
 
 
 _POLICY = ExecutionPolicy()
@@ -206,10 +195,10 @@ def _finish(outcome: _Outcome, results: list[dict[str, Any] | None],
             manifest: RunManifest) -> None:
     """Fold one terminal cell outcome into the run, in input order.
 
-    Successful payloads are persisted and journaled immediately by the
-    caller (crash safety); this function owns the deterministic, input-
-    ordered accounting: manifest rows, absorbed worker telemetry, and
-    trace events — identical for serial and pool execution.
+    Successful payloads are persisted immediately by the caller (crash
+    safety); this function owns the deterministic, input-ordered
+    accounting: manifest rows, absorbed worker telemetry, and trace
+    events — identical for serial and pool execution.
     """
     if outcome.payload is None:
         manifest.record_failed(outcome.key, outcome.label,
@@ -239,10 +228,9 @@ def _finish(outcome: _Outcome, results: list[dict[str, Any] | None],
                       rows=telemetry.profile)
 
 
-def _persist(key: str, payload: dict[str, Any], status: str,
-             store: ResultStore | None, policy: ExecutionPolicy,
-             journal: CheckpointJournal | None) -> None:
-    """Durably store a completed payload and journal its key.
+def _persist(key: str, payload: dict[str, Any],
+             store: ResultStore | None, policy: ExecutionPolicy) -> None:
+    """Durably store a completed payload.
 
     Runs at completion time (not collection time) so a kill between two
     cells loses at most the in-flight work.  The ``corrupt`` fault mode
@@ -255,8 +243,6 @@ def _persist(key: str, payload: dict[str, Any], status: str,
     if policy.faults is not None and policy.faults.should_corrupt(key):
         if corrupt_artifact(store.path_for(key)):
             _OBS.warning(obs_names.EVT_FAULT_CORRUPT_ARTIFACT, key=key[:12])
-    if journal is not None:
-        journal.record(key, status)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +252,6 @@ def _persist(key: str, payload: dict[str, Any], status: str,
 def _run_serial(pending: list[tuple[int, str, Cell]], options: Any,
                 results: list[dict[str, Any] | None], store: ResultStore | None,
                 manifest: RunManifest, policy: ExecutionPolicy,
-                journal: CheckpointJournal | None,
                 cancel: CancelToken | None = None) -> None:
     obs_config = obs.current_config()
     fastpath_root = str(store.base) if store is not None else None
@@ -309,7 +294,7 @@ def _run_serial(pending: list[tuple[int, str, Cell]], options: Any,
                 _finish(_exhausted(outcome, policy, exc), results, manifest)
                 break
             status = "retried" if attempt else "ok"
-            _persist(key, payload, status, store, policy, journal)
+            _persist(key, payload, store, policy)
             _finish(_Outcome(index=index, key=key, label=cell.label,
                              status=status, attempts=attempt + 1,
                              payload=payload, telemetry=telemetry),
@@ -389,7 +374,6 @@ def _publish_trace_share(pending: list[tuple[int, str, Cell]], options: Any,
 def _run_pool(pending: list[tuple[int, str, Cell]], options: Any,
               results: list[dict[str, Any] | None], store: ResultStore | None,
               manifest: RunManifest, policy: ExecutionPolicy,
-              journal: CheckpointJournal | None,
               cancel: CancelToken | None = None) -> bool:
     """Fan pending cells across a worker pool with async collection.
 
@@ -489,7 +473,7 @@ def _run_pool(pending: list[tuple[int, str, Cell]], options: Any,
                             done[index] = _exhausted(outcome, policy, exc)
                         continue
                     status = "retried" if fl.attempt else "ok"
-                    _persist(fl.key, payload, status, store, policy, journal)
+                    _persist(fl.key, payload, store, policy)
                     done[index] = _Outcome(
                         index=index, key=fl.key, label=fl.cell.label,
                         status=status, attempts=fl.attempt + 1,
@@ -595,68 +579,40 @@ def _run_cells(cells: Sequence[Cell], options: Any, policy: ExecutionPolicy,
                cancel: CancelToken | None = None,
                ) -> tuple[list[dict[str, Any] | None], RunManifest]:
     store = ResultStore(policy.cache_dir) if policy.use_cache else None
-    journal: CheckpointJournal | None = None
-    completed_keys: set[str] = set()
-    if policy.run_id:
-        if store is None:
-            raise CheckpointError(
-                "checkpointing requires the artifact cache "
-                "(run_id set with use_cache=False)")
-        journal = CheckpointJournal.open(store.base, policy.run_id,
-                                         resume=policy.resume, append=True)
-        if policy.resume:
-            completed_keys = set(journal.seen)
-            _OBS.info(obs_names.EVT_RUN_RESUMED, run_id=policy.run_id,
-                      journaled=len(completed_keys))
-    manifest = RunManifest(jobs=policy.jobs, cache_enabled=policy.use_cache,
-                           run_id=policy.run_id or "")
+    manifest = RunManifest(jobs=policy.jobs, cache_enabled=policy.use_cache)
     start = time.perf_counter()
 
-    try:
-        results: list[dict[str, Any] | None] = [None] * len(cells)
-        pending: list[tuple[int, str, Cell]] = []
-        for index, cell in enumerate(cells):
-            key = cell_key(cell, options)
-            payload = store.get(key) if store is not None else None
-            if payload is not None:
-                results[index] = payload
-                manifest.record_hit(key, cell.label)
-                if key in completed_keys:
-                    _OBS.debug(obs_names.EVT_CHECKPOINT_SKIP, cell=cell.label,
-                               key=key[:12])
-                else:
-                    _OBS.debug(obs_names.EVT_CELL_CACHED, cell=cell.label, key=key[:12])
-                if journal is not None:
-                    journal.record(key, "hit")
-            else:
-                if key in completed_keys:
-                    _OBS.warning(obs_names.EVT_CHECKPOINT_MISSING_ARTIFACT,
-                                 cell=cell.label, key=key[:12])
-                pending.append((index, key, cell))
+    results: list[dict[str, Any] | None] = [None] * len(cells)
+    pending: list[tuple[int, str, Cell]] = []
+    for index, cell in enumerate(cells):
+        key = cell_key(cell, options)
+        payload = store.get(key) if store is not None else None
+        if payload is not None:
+            results[index] = payload
+            manifest.record_hit(key, cell.label)
+            _OBS.debug(obs_names.EVT_CELL_CACHED, cell=cell.label, key=key[:12])
+        else:
+            pending.append((index, key, cell))
 
-        if pending:
-            if policy.jobs > 1 and len(pending) > 1:
-                if _run_pool(pending, options, results, store, manifest,
-                             policy, journal, cancel):
-                    manifest.mode = "pool"
-                else:
-                    _run_serial(pending, options, results, store, manifest,
-                                policy, journal, cancel)
-                    manifest.mode = "serial-fallback"
+    if pending:
+        if policy.jobs > 1 and len(pending) > 1:
+            if _run_pool(pending, options, results, store, manifest,
+                         policy, cancel):
+                manifest.mode = "pool"
             else:
                 _run_serial(pending, options, results, store, manifest,
-                            policy, journal, cancel)
-    finally:
-        if journal is not None:
-            journal.close()
+                            policy, cancel)
+                manifest.mode = "serial-fallback"
+        else:
+            _run_serial(pending, options, results, store, manifest,
+                        policy, cancel)
 
     manifest.wall_s = time.perf_counter() - start
     if _OBS.enabled:
         _OBS.info(obs_names.EVT_RUN_SUMMARY, cells=manifest.n_cells, hits=manifest.hits,
                   executed=manifest.misses, failed=manifest.failed,
                   retried=manifest.retried, jobs=manifest.jobs,
-                  mode=manifest.mode, run_id=manifest.run_id,
-                  wall_s=round(manifest.wall_s, 6),
+                  mode=manifest.mode, wall_s=round(manifest.wall_s, 6),
                   compute_s=round(manifest.executed_s, 6),
                   cpu_s=round(manifest.executed_cpu_s, 6),
                   utilization=round(manifest.utilization, 4))

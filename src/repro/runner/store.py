@@ -8,7 +8,6 @@ Layout (under ``.domino-cache/`` by default, overridable via the
         ab/                    # first two hex digits of the key
           ab3f...e0.json       # one artifact per cell
       quarantine/              # corrupt artifacts, moved aside for autopsy
-      runs/                    # checkpoint journals (repro.runner.checkpoint)
       .lock                    # advisory lock for clear/gc maintenance
 
 Every artifact is a small JSON document ``{"schema", "code_version",
@@ -17,7 +16,7 @@ written to a unique temporary file in the destination directory,
 flushed and ``fsync``'d, then ``os.replace``d into place — so a crashed
 or concurrent writer can never leave a half-written artifact behind a
 valid name, and a completed ``put`` survives power loss (which is what
-lets the checkpoint journal treat a journaled key as durably done).
+lets a re-run of a killed sweep serve every stored cell as finished).
 
 Bulk numeric payloads (today: ``l1_filter`` arrays) ride in a **binary
 sidecar** — a ``<key>.bin`` file in the same shard directory holding
@@ -394,7 +393,7 @@ class ResultStore:
 
     def clear(self, lock_timeout_s: float | None = None) -> int:
         """Remove every artifact (all schema versions) and the
-        quarantine, keeping checkpoint journals. Returns count."""
+        quarantine. Returns count."""
         with self.lock(timeout_s=lock_timeout_s):
             removed = len(self._artifacts())
             if self.base.is_dir():

@@ -115,14 +115,14 @@ class EventPath:
         # tests/sim/test_cancel.py).
         self._cancel, self._next_check = current_checks()
         self._published = 0
-        # Trigger/prefetch tallies (miss, prefetch hit, issued, used and
-        # unused evictions) accumulate per run and flush to the registry
+        # Trigger/prefetch tallies (miss, prefetch hit, issued,
+        # overprediction) accumulate per run and flush to the registry
         # once: one add per event instead of a Counter.inc() call, which
         # is what keeps spans-on overhead inside the bench_obs.py
         # budget.  ``None`` while telemetry is off.  The debug level
         # test is hoisted too: per-event debug events are the single
         # most expensive emit path.
-        self._tally: list[int] | None = [0] * 5 if _OBS.enabled else None
+        self._tally: list[int] | None = [0] * 4 if _OBS.enabled else None
         self._emit_debug = _OBS.enabled_for(DEBUG)
 
     def _close_events(self, n_accesses: int) -> None:
@@ -132,18 +132,16 @@ class EventPath:
             self._cancel.advance(n_accesses - self._published)
             self._published = n_accesses
         if self._tally is not None:
-            n_miss, n_phit, n_issued, n_evict, n_over = self._tally
+            n_miss, n_phit, n_issued, n_over = self._tally
             if n_miss:
                 _OBS.counter(obs_names.MET_TRIGGER_MISS).inc(n_miss)
             if n_phit:
                 _OBS.counter(obs_names.MET_TRIGGER_PREFETCH_HIT).inc(n_phit)
             if n_issued:
                 _OBS.counter(obs_names.MET_PREFETCH_ISSUED).inc(n_issued)
-            if n_evict:
-                _OBS.counter(obs_names.MET_EVICTION_USED).inc(n_evict)
             if n_over:
                 _OBS.counter(obs_names.MET_OVERPREDICTION).inc(n_over)
-            self._tally = [0] * 5
+            self._tally = [0] * 4
 
     def _on_l1_miss(self, i: int, pc: int, block: int, victim_block: int) -> None:
         """One L1 miss at access index ``i``, start to finish."""
@@ -180,8 +178,7 @@ class EventPath:
             if tally is not None:
                 self._tally_issue(tally, cand_block, sid, victim)
             if victim is not None:
-                prefetcher.on_buffer_eviction(
-                    victim.block, victim.stream_id, victim.used)
+                prefetcher.on_buffer_eviction(victim.block, victim.stream_id)
 
     def _tally_trigger(self, tally: list[int], i: int, pc: int, block: int,
                        entry: BufferEntry | None) -> None:
@@ -204,16 +201,10 @@ class EventPath:
             _OBS.debug(obs_names.EVT_PREFETCH, block=block, stream=stream_id)
         if victim is None:
             return
-        if victim.used:
-            tally[3] += 1
-            if emit_debug:
-                _OBS.debug(obs_names.EVT_EVICTION, block=victim.block,
-                           stream=victim.stream_id)
-        else:
-            tally[4] += 1
-            if emit_debug:
-                _OBS.debug(obs_names.EVT_OVERPREDICTION, block=victim.block,
-                           stream=victim.stream_id)
+        tally[3] += 1
+        if emit_debug:
+            _OBS.debug(obs_names.EVT_OVERPREDICTION, block=victim.block,
+                       stream=victim.stream_id)
 
     def _account_demand(self, i: int, block: int,
                         entry: BufferEntry | None) -> None:
@@ -272,7 +263,7 @@ class TraceSimulator(EventPath):
 
         with trace_span(obs_names.SPAN_SIMULATE, trace=name,
                         accesses=n_accesses), \
-                timed("simulate", emit=False):
+                timed("simulate"):
             for i, pc, block, victim_block in filt.replay_rows():
                 if i >= reset_at:
                     self._reset_counters()

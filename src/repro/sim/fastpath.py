@@ -247,7 +247,7 @@ def _build_arrays_lru2(
     change = is_start
     change[1:] |= b_s[1:] != b_s[:-1]
     run_start = np.maximum.accumulate(np.where(change, g, 0))
-    run_id = np.cumsum(change)
+    run_no = np.cumsum(change)
     gm1 = np.maximum(g - 1, 0)
     # Victim = block of the last run before the current one: the
     # second most recently used distinct block (the first is b_s[g-1],
@@ -256,8 +256,8 @@ def _build_arrays_lru2(
     del b_s, run_start
     has_prev = prev_g >= 0
     hit = has_prev & ((prev_g == g - 1)
-                      | (run_id[np.minimum(prev_g + 1, n - 1)] == run_id[gm1]))
-    del g, gm1, prev_g, run_id
+                      | (run_no[np.minimum(prev_g + 1, n - 1)] == run_no[gm1]))
+    del g, gm1, prev_g, run_no
     # Distinct blocks seen strictly earlier in the same set.
     excl = np.cumsum(~has_prev) - ~has_prev
     seen = excl - excl[sstart]

@@ -4,10 +4,16 @@ Every figure in the paper sweeps the same nine workloads, and most
 experiments want the very same trace (same workload, length, seed) so
 results are comparable across prefetchers.  :class:`WorkloadSuite`
 memoises generated traces keyed by (name, length, seed).
+
+Every trace a cell generates — single-core, per-core and mix — passes
+through :meth:`WorkloadSuite.trace`, so that is where generation
+honours the thread's :class:`~repro.cancel.CancelToken`: a cancelled
+or expired job stops before its next generation.
 """
 
 from __future__ import annotations
 
+from ..cancel import current_token
 from ..sim.trace import MemoryTrace
 from .base import WorkloadConfig
 from .server import SERVER_WORKLOADS, get_workload
@@ -36,10 +42,18 @@ class WorkloadSuite:
         return self._workloads[name]
 
     def trace(self, name: str, n_accesses: int, seed: int | None = None) -> MemoryTrace:
-        """Generated trace, memoised by (name, length, seed)."""
+        """Generated trace, memoised by (name, length, seed).
+
+        A miss first checks the current cancel token (raising
+        :class:`~repro.errors.JobCancelled`); it meters no progress,
+        because generation simulates no accesses.
+        """
         eff_seed = self.seed if seed is None else seed
         key = (name, n_accesses, eff_seed)
         if key not in self._traces:
+            cancel = current_token()
+            if cancel is not None:
+                cancel.raise_if_cancelled()
             self._traces[key] = self.workload(name).generate(n_accesses, seed=eff_seed)
         return self._traces[key]
 

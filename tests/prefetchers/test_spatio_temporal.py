@@ -53,7 +53,7 @@ class TestRouting:
         domino_streams = list(stack.domino.streams)
         if domino_streams:
             sid = domino_streams[-1].stream_id
-            stack.on_buffer_eviction(5, sid * 2 + stack._DOMINO, used=False)
+            stack.on_buffer_eviction(5, sid * 2 + stack._DOMINO)
             assert domino_streams[-1].unused_evictions == 1
 
     def test_killed_streams_are_retagged(self, config):

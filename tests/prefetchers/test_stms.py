@@ -96,17 +96,9 @@ class TestStreamEndDetection:
         feed(stms, [1, 2, 3, 4, 5, 6, 7])
         candidates = stms.on_miss(0, 1)
         sid = candidates[0][1]
-        stms.on_buffer_eviction(2, sid, used=False)
-        stms.on_buffer_eviction(3, sid, used=False)
+        stms.on_buffer_eviction(2, sid)
+        stms.on_buffer_eviction(3, sid)
         assert stms.streams.get(sid) is None
-
-    def test_used_evictions_are_harmless(self, config):
-        stms = StmsPrefetcher(config)
-        feed(stms, [1, 2, 3, 4, 5, 6, 7])
-        sid = stms.on_miss(0, 1)[0][1]
-        for _ in range(5):
-            stms.on_buffer_eviction(2, sid, used=True)
-        assert stms.streams.get(sid) is not None
 
     def test_detection_can_be_disabled(self):
         config = small_test_config(sampling_probability=1.0,
@@ -115,7 +107,7 @@ class TestStreamEndDetection:
         feed(stms, [1, 2, 3, 4, 5, 6, 7])
         sid = stms.on_miss(0, 1)[0][1]
         for _ in range(5):
-            stms.on_buffer_eviction(2, sid, used=False)
+            stms.on_buffer_eviction(2, sid)
         assert stms.streams.get(sid) is not None
 
 

@@ -1,12 +1,13 @@
 """Cancellation through the runner: serial scope plumbing, retry
-backoff interruption, and pool polling."""
+backoff interruption, trace generation, and pool polling."""
 
 import pytest
 
 from repro.cancel import CancelToken
 from repro.errors import JobCancelled
 from repro.experiments.fig11_degree1 import build_cells
-from repro.runner import ExecutionPolicy, run_cells
+from repro.runner import Cell, ExecutionPolicy, execute, run_cells
+from repro.workloads.synthetic import SyntheticWorkload
 
 
 @pytest.fixture
@@ -68,6 +69,34 @@ class TestSerial:
         # the first cell from cache.
         _, manifest = run_cells(sweep, tiny_options, policy)
         assert manifest.hits >= 1
+
+
+class TestTraceGeneration:
+    def test_cancel_lands_between_per_core_generations(self, monkeypatch,
+                                                        tiny_options):
+        """A multicore cell generates one trace per core before it
+        simulates; a cancel after the first generation stops the cell
+        before the second, with no progress metered."""
+        monkeypatch.setattr(execute, "_SUITES", {})
+        token = CancelToken()
+        calls = []
+        generate = SyntheticWorkload.generate
+
+        def generate_then_cancel(self, n_accesses, seed=None):
+            calls.append(seed)
+            trace = generate(self, n_accesses, seed=seed)
+            token.cancel("client_cancel")
+            return trace
+
+        monkeypatch.setattr(SyntheticWorkload, "generate",
+                            generate_then_cancel)
+        cell = Cell(kind="multicore", workload="oltp", prefetcher="domino",
+                    config_name="timing")
+        with pytest.raises(JobCancelled):
+            run_cells([cell], tiny_options,
+                      ExecutionPolicy(jobs=1, use_cache=False), cancel=token)
+        assert len(calls) == 1
+        assert token.progress == 0
 
 
 class TestPool:

@@ -1,8 +1,11 @@
 """Scheduler: cache accounting, pool fan-out, serial equivalence."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.fig11_degree1 import build_cells, run as run_fig11
+from repro.faults import FaultPlan
 from repro.runner import Cell, ExecutionPolicy, ResultStore, run_cells, set_policy
 from repro.runner.cells import cell_key
 
@@ -53,6 +56,48 @@ class TestCacheAccounting:
         assert d["mode"] == "serial"
 
 
+class TestRerunIsResume:
+    """A killed sweep resumes by running again on the same cache: the
+    store is the one record of finished cells."""
+
+    def test_partial_run_then_full_list_serves_finished_cells(
+            self, tmp_path, tiny_options, sweep):
+        policy = ExecutionPolicy(use_cache=True, cache_dir=tmp_path / "c")
+        partial, first = run_cells(sweep[:3], tiny_options, policy)
+        assert first.misses == 3
+        payloads, manifest = run_cells(sweep, tiny_options,
+                                       replace(policy, jobs=2))
+        assert [c.cached for c in manifest.cells] == \
+            [True] * 3 + [False] * (len(sweep) - 3)
+        assert payloads[:3] == partial
+        reference, _ = run_cells(sweep, tiny_options,
+                                 ExecutionPolicy(use_cache=False))
+        assert payloads == reference
+
+    def test_failed_cells_leave_no_artifact_and_rerun(self, tmp_path,
+                                                      tiny_options, sweep):
+        policy = ExecutionPolicy(use_cache=True, cache_dir=tmp_path / "c")
+        crashing = replace(policy, retries=0, keep_going=True,
+                           faults=FaultPlan(crash_attempts=1))
+        payloads, first = run_cells(sweep, tiny_options, crashing)
+        assert first.failed == len(sweep) and payloads == [None] * len(sweep)
+        store = ResultStore(tmp_path / "c")
+        assert not any(store.path_for(cell_key(cell, tiny_options)).exists()
+                       for cell in sweep)
+        payloads, manifest = run_cells(sweep, tiny_options, policy)
+        assert manifest.hits == 0 and manifest.misses == len(sweep)
+        assert all(p is not None for p in payloads)
+
+    def test_cleared_cache_reexecutes_everything(self, tmp_path,
+                                                 tiny_options, sweep):
+        policy = ExecutionPolicy(use_cache=True, cache_dir=tmp_path / "c")
+        first, _ = run_cells(sweep[:2], tiny_options, policy)
+        ResultStore(tmp_path / "c").clear()
+        payloads, manifest = run_cells(sweep[:2], tiny_options, policy)
+        assert manifest.hits == 0 and manifest.misses == 2
+        assert payloads == first
+
+
 class TestParallelEquivalence:
     def test_pool_matches_serial_payloads(self, tiny_options, sweep):
         serial, m1 = run_cells(sweep, tiny_options,
@@ -97,8 +142,7 @@ class TestPolicy:
 
     @pytest.mark.parametrize("bad", [dict(retries=-1), dict(jobs=0),
                                      dict(timeout_s=-1.0),
-                                     dict(timeout_s=0.0),
-                                     dict(resume=True)])
+                                     dict(timeout_s=0.0)])
     def test_robustness_knobs_validated(self, bad):
         with pytest.raises(ValueError):
             ExecutionPolicy(**bad)

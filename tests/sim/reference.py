@@ -96,8 +96,7 @@ class ReferenceSimulator(TraceSimulator):
                 self._streams_seen.add(sid)
                 victim = buffer.insert(cand_block, sid)
                 if victim is not None:
-                    prefetcher.on_buffer_eviction(
-                        victim.block, victim.stream_id, victim.used)
+                    prefetcher.on_buffer_eviction(victim.block, victim.stream_id)
         return self._finalise(trace.name)
 
 
@@ -310,8 +309,7 @@ class ReferenceTimingSimulator:
             self.result.prefetches_issued += 1
             victim = self.buffer.insert(block, sid, ready_time=ready)
             if victim is not None:
-                self.prefetcher.on_buffer_eviction(
-                    victim.block, victim.stream_id, victim.used)
+                self.prefetcher.on_buffer_eviction(victim.block, victim.stream_id)
 
     def run(self, trace: MemoryTrace, warmup: int = 0) -> TimingResult:
         self.load(trace, warmup)

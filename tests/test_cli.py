@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.runner.checkpoint import RUNS_DIR, CheckpointJournal
 
 
 def test_list(capsys):
@@ -158,7 +157,7 @@ def test_cache_gc(tmp_path, capsys):
 
 
 class TestRobustness:
-    """Fault-tolerance surface: exit codes, chaos flags, resume."""
+    """Fault-tolerance surface: exit codes and chaos flags."""
 
     def test_injected_crashes_survive_on_retries(self, capsys):
         assert main(RUN_TINY + ["--no-cache", "--jobs", "2",
@@ -183,38 +182,6 @@ class TestRobustness:
                                      "--inject-faults", "crash:0.3,seed:1",
                                      "--retries", "3"])
         assert chaos == clean
-
-    def test_resume_serves_journaled_cells(self, tmp_path, capsys):
-        cache = str(tmp_path / "c")
-        assert main(RUN_TINY + ["--cache-dir", cache,
-                                "--run-id", "cli-r1"]) == 0
-        capsys.readouterr()
-        assert main(RUN_TINY + ["--cache-dir", cache,
-                                "--resume", "cli-r1"]) == 0
-        assert "6 cache hits, 0 executed" in capsys.readouterr().out
-
-    def test_fresh_run_id_starts_a_new_journal(self, tmp_path, capsys):
-        base = tmp_path / "c"
-        with CheckpointJournal.open(base, "cli-r1") as stale:
-            stale.record("stale-key")
-        assert main(["run", "table1", "--cache-dir", str(base),
-                     "--run-id", "cli-r1"]) == 0
-        journal = CheckpointJournal(base / RUNS_DIR / "cli-r1.ckpt", "cli-r1")
-        assert len(journal.load()) == 1 and "stale-key" not in journal.load()
-
-    def test_resume_unknown_run_is_usage_error(self, tmp_path, capsys):
-        assert main(RUN_TINY + ["--cache-dir", str(tmp_path / "c"),
-                                "--resume", "ghost"]) == 2
-        assert "cannot resume" in capsys.readouterr().err
-
-    def test_resume_conflicts_with_run_id(self, tmp_path, capsys):
-        assert main(RUN_TINY + ["--cache-dir", str(tmp_path / "c"),
-                                "--resume", "r1", "--run-id", "r2"]) == 2
-        assert "drop --run-id" in capsys.readouterr().err
-
-    def test_run_id_conflicts_with_no_cache(self, capsys):
-        assert main(RUN_TINY + ["--no-cache", "--run-id", "r1"]) == 2
-        assert "--no-cache" in capsys.readouterr().err
 
     def test_bad_fault_spec_is_usage_error(self, capsys):
         assert main(RUN_TINY + ["--no-cache",

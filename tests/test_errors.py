@@ -3,8 +3,8 @@
 import pytest
 
 from repro import errors
-from repro.errors import (CellFailedError, CheckpointError, ConfigError,
-                          ReproError, RunnerError, RunnerTimeoutError)
+from repro.errors import (CellFailedError, ConfigError, ReproError,
+                          RunnerError, RunnerTimeoutError)
 
 
 class TestHierarchy:
@@ -15,16 +15,15 @@ class TestHierarchy:
         assert all(issubclass(exc, ReproError) for exc in exported)
 
     def test_robustness_errors_are_runner_errors(self):
-        for exc in (RunnerTimeoutError, CellFailedError, CheckpointError):
+        for exc in (RunnerTimeoutError, CellFailedError):
             assert issubclass(exc, RunnerError)
             assert issubclass(exc, ReproError)
 
     def test_robustness_errors_are_distinct(self):
-        """A timeout must be distinguishable from exhaustion from a bad
-        journal — callers branch on these."""
+        """A timeout must be distinguishable from exhaustion — callers
+        branch on these."""
         assert not issubclass(RunnerTimeoutError, CellFailedError)
         assert not issubclass(CellFailedError, RunnerTimeoutError)
-        assert not issubclass(CheckpointError, CellFailedError)
 
     def test_injected_fault_is_a_runner_error(self):
         from repro.faults import InjectedFault
@@ -32,7 +31,6 @@ class TestHierarchy:
         assert not issubclass(InjectedFault, ConfigError)
 
     def test_single_except_clause_catches_all(self):
-        for exc in (RunnerTimeoutError("t"), CellFailedError("c"),
-                    CheckpointError("j")):
+        for exc in (RunnerTimeoutError("t"), CellFailedError("c")):
             with pytest.raises(ReproError):
                 raise exc
