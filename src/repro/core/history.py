@@ -6,14 +6,19 @@ configuration).  Positions are *global monotonic* sequence numbers; a
 position falls off the table once it is more than ``capacity`` events in
 the past, which models the circular overwrite.
 
+The table is a list ring: position ``p`` lives in slot ``p % capacity``.
+The list grows by one slot per append until it holds ``capacity``
+entries (it is never preallocated: the paper's HT has 16M entries and
+the unbounded variants 2^30), and from then on each append overwrites
+the slot of the position that falls off.  A read costs the same at any
+distance from the head.
+
 Reads are row-granular: fetching the successors of position ``p`` pulls
 whole rows, and the caller is told how many row fetches (off-chip block
 transfers) were needed so metadata traffic can be charged faithfully.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 
 class HistoryTable:
@@ -24,7 +29,7 @@ class HistoryTable:
             raise ValueError("capacity and row_entries must be positive")
         self.capacity = capacity
         self.row_entries = row_entries
-        self._buf: deque[int] = deque(maxlen=capacity)
+        self._buf: list[int] = []
         self._next_pos = 0  # global position of the next append
 
     def __len__(self) -> int:
@@ -43,8 +48,11 @@ class HistoryTable:
     def append(self, address: int) -> int:
         """Record a triggering event; returns its global position."""
         pos = self._next_pos
-        self._buf.append(address)
-        self._next_pos += 1
+        if pos < self.capacity:
+            self._buf.append(address)
+        else:
+            self._buf[pos % self.capacity] = address
+        self._next_pos = pos + 1
         return pos
 
     def contains_position(self, pos: int) -> bool:
@@ -55,7 +63,7 @@ class HistoryTable:
         """Address recorded at global position ``pos``, if resident."""
         if not self.contains_position(pos):
             return None
-        return self._buf[pos - self.oldest_position]
+        return self._buf[pos % self.capacity]
 
     def read_forward(self, pos: int, count: int) -> tuple[list[int], int]:
         """Addresses at positions [pos, pos+count), clipped to residency.
@@ -70,8 +78,12 @@ class HistoryTable:
         stop = min(pos + count, self._next_pos)
         if stop <= start:
             return [], 0
-        base = self.oldest_position
-        addresses = [self._buf[i - base] for i in range(start, stop)]
+        lo = start % self.capacity
+        hi = lo + stop - start
+        if hi <= self.capacity:
+            addresses = self._buf[lo:hi]
+        else:
+            addresses = self._buf[lo:] + self._buf[:hi - self.capacity]
         first_row = start // self.row_entries
         last_row = (stop - 1) // self.row_entries
         return addresses, last_row - first_row + 1

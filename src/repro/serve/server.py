@@ -91,6 +91,19 @@ NET_AFTER_WRITES = 2
 WATCHDOG_POLL_S = 0.05
 
 
+async def _read_frame(reader: asyncio.StreamReader) -> bytes:
+    """One line from the client; a connection it reset reads as EOF.
+
+    When the peer hangs up first, the stream hands one ``ConnectionError``
+    to the next read (and to ``wait_closed``); uncaught here it would end
+    the connection task as an unhandled exception.
+    """
+    try:
+        return await reader.readline()
+    except ConnectionError:
+        return b""
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """One server instance: where it listens and how it executes.
@@ -333,7 +346,7 @@ class ExperimentServer:
         malformed = 0
         try:
             try:
-                frame = await reader.readline()
+                frame = await _read_frame(reader)
                 conn.tenant = protocol.parse_hello(protocol.decode_line(frame))
             except (ProtocolError, ValueError) as exc:
                 await conn.send(protocol.error(str(exc)))
@@ -345,7 +358,7 @@ class ExperimentServer:
                 conn.span = conn_span
                 while True:
                     try:
-                        frame = await reader.readline()
+                        frame = await _read_frame(reader)
                     except ValueError:
                         # Overlong line: the stream is desynchronised and
                         # cannot be safely re-framed — drop the client.

@@ -56,6 +56,11 @@ class SyntheticWorkload:
         self._hot_pool = self._build_hot_pool(rng)
         self.documents, self.doc_pcs, self.doc_deps = self._build_documents(rng)
         self._weights = self._zipf_weights(rng)
+        # Generator.choice(p=w) normalises w.cumsum() the same way and
+        # returns cdf.searchsorted(random(size), side="right"), so picks
+        # from this cached CDF equal choice's, from the same draws.
+        cdf = self._weights.cumsum()
+        self._cdf = cdf / cdf[-1]
 
     # -- construction ---------------------------------------------------
     def _build_hot_pool(self, rng: np.random.Generator) -> np.ndarray:
@@ -186,31 +191,29 @@ class SyntheticWorkload:
         return np.where(leaders, long_gaps, short_gaps).astype(np.int32)
 
     def _pick_documents(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.choice(self.config.n_documents, size=count, p=self._weights)
+        return self._cdf.searchsorted(rng.random(count), side="right")
 
     def _generate_sequential(
         self, rng: np.random.Generator, n_accesses: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Replays run back to back (single-context execution)."""
         cfg = self.config
-        out_pcs: list[np.ndarray] = []
-        out_blocks: list[np.ndarray] = []
-        out_deps: list[np.ndarray] = []
-        total = 0
+        out_blocks: list[int] = []
+        out_pcs: list[int] = []
+        out_deps: list[int] = []
         # Draw document choices in batches to amortise rng overhead.
         batch = max(256, n_accesses // max(int(cfg.doc_length_mean), 1) // 4)
-        while total < n_accesses:
-            for doc_id in self._pick_documents(rng, batch):
-                blocks, pcs, deps = self._replay_document(rng, int(doc_id))
-                out_blocks.append(blocks)
-                out_pcs.append(pcs)
-                out_deps.append(deps)
-                total += len(blocks)
-                if total >= n_accesses:
+        while len(out_blocks) < n_accesses:
+            for doc_id in self._pick_documents(rng, batch).tolist():
+                blocks, pcs, deps = self._replay_document(rng, doc_id)
+                out_blocks.extend(blocks)
+                out_pcs.extend(pcs)
+                out_deps.extend(deps)
+                if len(out_blocks) >= n_accesses:
                     break
-        return (np.concatenate(out_blocks)[:n_accesses],
-                np.concatenate(out_pcs)[:n_accesses],
-                np.concatenate(out_deps)[:n_accesses])
+        return (np.asarray(out_blocks[:n_accesses], dtype=np.int64),
+                np.asarray(out_pcs[:n_accesses], dtype=np.int64),
+                np.asarray(out_deps[:n_accesses], dtype=np.int8))
 
     def _generate_interleaved(
         self, rng: np.random.Generator, n_accesses: int
@@ -230,8 +233,7 @@ class SyntheticWorkload:
         while len(out_blocks) < n_accesses:
             while len(contexts) < cfg.interleave:
                 doc_id = int(self._pick_documents(rng, 1)[0])
-                blocks, pcs, deps = self._replay_document(rng, doc_id)
-                contexts.append([blocks.tolist(), pcs.tolist(), deps.tolist(), 0])
+                contexts.append([*self._replay_document(rng, doc_id), 0])
             ctx = contexts[rng.integers(len(contexts))]
             burst = int(rng.geometric(cfg.switch_prob))
             blocks, pcs, deps, cursor = ctx
@@ -249,44 +251,42 @@ class SyntheticWorkload:
 
     def _replay_document(
         self, rng: np.random.Generator, doc_id: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One perturbed replay of document ``doc_id``."""
+    ) -> tuple[list[int], list[int], list[int]]:
+        """One perturbed replay of document ``doc_id``, as lists of
+        blocks, PCs and dependence flags."""
         cfg = self.config
-        doc = self.documents[doc_id]
-        pcs = self.doc_pcs[doc_id]
-        deps = self.doc_deps[doc_id]
-        length = len(doc)
+        length = len(self.documents[doc_id])
 
         # Truncation: geometric stopping point.
         if cfg.truncation_prob > 0.0:
             keep = int(rng.geometric(cfg.truncation_prob))
             length = min(length, max(keep, 1))
-        blocks = doc[:length].copy()
-        doc_pcs = pcs[:length].copy()
-        doc_deps = deps[:length].copy()
+        blocks = self.documents[doc_id][:length].tolist()
+        pcs = self.doc_pcs[doc_id][:length].tolist()
+        deps = self.doc_deps[doc_id][:length].tolist()
 
         # Mutation: substitute random cold addresses in place.
         if cfg.mutation_rate > 0.0:
-            mutate = rng.random(length) < cfg.mutation_rate
-            n_mut = int(mutate.sum())
-            if n_mut:
-                blocks[mutate] = _COLD_BASE + rng.integers(
-                    0, cfg.dataset_blocks, size=n_mut)
+            mutate = np.flatnonzero(rng.random(length) < cfg.mutation_rate)
+            if len(mutate):
+                cold = rng.integers(0, cfg.dataset_blocks, size=len(mutate))
+                for i, block in zip(mutate.tolist(), cold.tolist()):
+                    blocks[i] = _COLD_BASE + block
 
         # Noise: interleave cold accesses before randomly chosen elements.
         if cfg.noise_rate > 0.0:
-            noisy = rng.random(length) < cfg.noise_rate
-            n_noise = int(noisy.sum())
-            if n_noise:
-                noise_blocks = _COLD_BASE + rng.integers(
-                    0, cfg.dataset_blocks, size=n_noise)
-                noise_pcs = rng.integers(0, cfg.pc_pool, size=n_noise)
-                positions = np.flatnonzero(noisy)
-                blocks = np.insert(blocks, positions, noise_blocks)
-                doc_pcs = np.insert(doc_pcs, positions, noise_pcs)
-                doc_deps = np.insert(doc_deps, positions, 0)
+            noisy = np.flatnonzero(rng.random(length) < cfg.noise_rate)
+            if len(noisy):
+                cold = rng.integers(0, cfg.dataset_blocks, size=len(noisy))
+                noise_pcs = rng.integers(0, cfg.pc_pool, size=len(noisy))
+                # From the back, so each insert leaves earlier indices valid.
+                for i, block, pc in reversed(list(zip(
+                        noisy.tolist(), cold.tolist(), noise_pcs.tolist()))):
+                    blocks.insert(i, _COLD_BASE + block)
+                    pcs.insert(i, pc)
+                    deps.insert(i, 0)
 
-        return blocks, doc_pcs, doc_deps.astype(np.int8)
+        return blocks, pcs, deps
 
 
 def generate_trace(config: WorkloadConfig, n_accesses: int,

@@ -91,12 +91,18 @@ class TestReadForward:
 @given(values=st.lists(st.integers(0, 1000), min_size=1, max_size=100),
        pos=st.integers(0, 120), count=st.integers(0, 20))
 def test_read_forward_matches_slice_of_full_log(values, pos, count):
-    """Whatever is resident must equal the corresponding suffix slice."""
+    """Whatever is resident must equal the corresponding suffix slice,
+    also after the ring has wrapped around."""
     ht = HistoryTable(capacity=16, row_entries=4)
     for v in values:
         ht.append(v)
     addrs, _ = ht.read_forward(pos, count)
-    start = max(pos, max(len(values) - 16, 0))
+    oldest = max(len(values) - 16, 0)
+    start = max(pos, oldest)
     stop = min(pos + count, len(values))
     expected = values[start:stop] if stop > start else []
     assert addrs == expected
+    assert len(ht) == len(values) - oldest
+    assert ht.oldest_position == oldest
+    for p in range(-1, len(values) + 2):
+        assert ht.read_at(p) == (values[p] if oldest <= p < len(values) else None)

@@ -8,6 +8,7 @@ tenant isolation holds (no cross-tenant cancel, no existence oracle).
 """
 
 import asyncio
+import gc
 
 from repro.serve import ServeClient, protocol
 
@@ -25,6 +26,22 @@ async def _wait_for(predicate, timeout_s=10.0, poll_s=0.02):
             return value
         await asyncio.sleep(poll_s)
     raise AssertionError("condition not reached before timeout")
+
+
+async def _queued_job_status():
+    """Status of a job queued behind a long one; both are then cancelled
+    and the client closes while the server may still be writing."""
+    async with serving(slots=1) as server:
+        async with await ServeClient.connect(server.address, "alice") as client:
+            await client.submit(LONG_SPEC, "r1")
+            first = await client.recv()
+            await client.submit(TINY_SPEC, "r2")
+            second = await client.recv()
+            await client.send(protocol.job_status_request(second["job"]))
+            status = await client.recv()
+            await client.cancel(second["job"], "r2")
+            await client.cancel(first["job"], "r1")
+            return status
 
 
 class TestCancelFrame:
@@ -188,25 +205,24 @@ class TestJobStatus:
         assert status["of"] == 1
 
     def test_status_of_queued_job(self):
-        async def scenario():
-            async with serving(slots=1) as server:
-                async with await ServeClient.connect(
-                        server.address, "alice") as client:
-                    await client.submit(LONG_SPEC, "r1")
-                    first = await client.recv()
-                    await client.submit(TINY_SPEC, "r2")
-                    second = await client.recv()
-                    await client.send(
-                        protocol.job_status_request(second["job"]))
-                    status = await client.recv()
-                    await client.cancel(second["job"], "r2")
-                    await client.cancel(first["job"], "r1")
-                    return status
-
-        status = asyncio.run(scenario())
+        status = asyncio.run(_queued_job_status())
         assert status["type"] == protocol.JOB_STATUS
         assert status["state"] == protocol.STATE_QUEUED
         assert status["accesses_done"] == 0
+
+    def test_client_hanging_up_first_leaves_no_unhandled_error(self):
+        """The broken pipe of a client that hangs up first must end its
+        connection as EOF, not escape to the loop's exception handler."""
+        async def scenario():
+            reported: list[dict] = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context))
+            await _queued_job_status()
+            gc.collect()  # a task's unretrieved exception reports on collection
+            return reported
+
+        reported = asyncio.run(scenario())
+        assert [context.get("message") for context in reported] == []
 
 
 class TestDisconnect:

@@ -1,11 +1,15 @@
 """Synthetic trace generator: determinism, structure, statistics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.sequitur.analysis import analyze_sequence
 from repro.workloads.base import WorkloadConfig
+from repro.workloads.server import get_workload
+from repro.workloads.suite import WorkloadSuite
 from repro.workloads.synthetic import SyntheticWorkload, generate_trace
 
 
@@ -106,3 +110,64 @@ class TestPerturbations:
         doc_blocks = {int(b) for doc in workload.documents for b in doc}
         cold = [b for b in trace.blocks.tolist() if b not in doc_blocks]
         assert len(cold) > 50
+
+
+def _trace_digest(trace) -> str:
+    """First 16 hex digits of the SHA-256 over every field's dtype and bytes."""
+    h = hashlib.sha256()
+    for arr in (trace.blocks, trace.pcs, trace.deps, trace.works):
+        h.update(arr.dtype.str.encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()[:16]
+
+
+# (workload, seed) -> (digest of ``trace(w, 3000)``, digest of the four
+# ``core_traces(w, 1500)`` digests), recorded when document picks still
+# called ``Generator.choice`` and replays were built as numpy arrays.
+# Generation consumes one numpy Generator in a fixed call order; any
+# change to that order, to a draw's size or to the post-processing moves
+# these.  Standard mixes reuse ``WorkloadSuite.trace``, so they are
+# covered too.
+TRACE_PINS = {
+    ("data_serving", 97): ("80b7182a4aa7c93a", "2556049ce3cdb9e0"),
+    ("data_serving", 1234): ("45353f194547e278", "00bdf954b2662fa7"),
+    ("mapreduce_c", 97): ("55440e830828c8b5", "7031aa480c86e2f4"),
+    ("mapreduce_c", 1234): ("7c6d1732430564ec", "6705748bc6744323"),
+    ("mapreduce_w", 97): ("33886ab9a47fb889", "86b65f6f09dddd07"),
+    ("mapreduce_w", 1234): ("06283caa26f2d321", "17e1116fb3f186ab"),
+    ("media_streaming", 97): ("04dac8cf904e7acc", "8b7985bc5bd5b667"),
+    ("media_streaming", 1234): ("2090678b67c3aca0", "db0325f4d9d44290"),
+    ("oltp", 97): ("8658b3138c137599", "2f0e391e98bb5bd1"),
+    ("oltp", 1234): ("190aefec1206ac85", "079478ceeeb83f5c"),
+    ("sat_solver", 97): ("5023a5756e6cb47a", "2e75689a7a4be27e"),
+    ("sat_solver", 1234): ("c3c3383f183724a0", "1b475c72b47ad4ec"),
+    ("web_apache", 97): ("78ea0b69b1f70e1d", "e6d0d59319cd0a75"),
+    ("web_apache", 1234): ("351f07d65685fb2b", "b5d0a051407616ca"),
+    ("web_search", 97): ("254aec4e2ad407b4", "f0954da387a98759"),
+    ("web_search", 1234): ("f3550a0321169777", "d04f0024e8aafd8c"),
+    ("web_zeus", 97): ("efe37074682016ff", "7c5d6ee717dd913b"),
+    ("web_zeus", 1234): ("71d4d9ef46f9fece", "bf24bbf44a991dd6"),
+}
+
+
+@pytest.mark.parametrize(("name", "seed"), sorted(TRACE_PINS))
+def test_generated_traces_pinned(name, seed):
+    suite = WorkloadSuite(seed=seed)
+    single = _trace_digest(suite.trace(name, 3000))
+    cores = hashlib.sha256("".join(
+        _trace_digest(t) for t in suite.core_traces(name, 1500)).encode())
+    assert (single, cores.hexdigest()[:16]) == TRACE_PINS[name, seed]
+
+
+@pytest.mark.parametrize("name", ["oltp", "media_streaming"])
+def test_picker_draws_what_choice_draws(name):
+    """The cached-CDF picker consumes the same random numbers as
+    ``Generator.choice(p=...)`` and returns the same documents."""
+    workload = SyntheticWorkload(get_workload(name), seed=5)
+    n_docs = workload.config.n_documents
+    rng, rng2 = np.random.default_rng(11), np.random.default_rng(11)
+    for count in [1] * 2000 + [512]:
+        picked = workload._pick_documents(rng, count)
+        expected = rng2.choice(n_docs, size=count, p=workload._weights)
+        assert np.array_equal(picked, expected)
+    assert rng.random() == rng2.random()
