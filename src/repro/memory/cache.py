@@ -39,29 +39,24 @@ class Cache:
 
     ``access(block)`` returns True on a hit and allocates on a miss
     (write-allocate; this study has no dirty-data concerns).  ``probe``
-    checks presence without side effects.  Prefetches never fill a
-    cache: they wait in the prefetch buffer until a demand access
-    allocates the block.
+    checks presence without side effects, and ``touch`` promotes a hit
+    without allocating on a miss.  Prefetches never fill a cache: they
+    wait in the prefetch buffer until a demand access allocates the
+    block.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.n_sets = config.n_sets
         self.ways = config.ways
-        self._set_mask = self.n_sets - 1
-        self._power_of_two = (self.n_sets & (self.n_sets - 1)) == 0
+        #: Set ``block % n_sets`` holds ``block``.
         self._sets: list[OrderedDict[int, None]] = [OrderedDict() for _ in range(self.n_sets)]
         self.stats = CacheStats()
-
-    def _index(self, block: int) -> int:
-        if self._power_of_two:
-            return block & self._set_mask
-        return block % self.n_sets
 
     def access(self, block: int) -> bool:
         """Look up ``block``; allocate it on a miss.  Returns hit?"""
         self.stats.accesses += 1
-        line_set = self._sets[self._index(block)]
+        line_set = self._sets[block % self.n_sets]
         if block in line_set:
             line_set.move_to_end(block)
             self.stats.hits += 1
@@ -79,7 +74,7 @@ class Cache:
         the eviction sequence to replay residency without the cache.
         """
         self.stats.accesses += 1
-        line_set = self._sets[self._index(block)]
+        line_set = self._sets[block % self.n_sets]
         if block in line_set:
             line_set.move_to_end(block)
             self.stats.hits += 1
@@ -89,7 +84,20 @@ class Cache:
 
     def probe(self, block: int) -> bool:
         """Presence check without replacement-state or counter updates."""
-        return block in self._sets[self._index(block)]
+        return block in self._sets[block % self.n_sets]
+
+    def touch(self, block: int) -> bool:
+        """:meth:`access` on a hit, :meth:`probe` on a miss: a resident
+        ``block`` becomes most recent and counts a hit, and a missing
+        one is not allocated and counts nothing.  Returns hit?  (The
+        timing model's LRU touch for a prefetch served by the LLC.)"""
+        line_set = self._sets[block % self.n_sets]
+        if block in line_set:
+            line_set.move_to_end(block)
+            self.stats.accesses += 1
+            self.stats.hits += 1
+            return True
+        return False
 
     def _insert(self, line_set: OrderedDict[int, None], block: int) -> int | None:
         victim = None

@@ -1,8 +1,9 @@
 """DRAM latency and shared off-chip bandwidth model.
 
 The paper's chip has two memory controllers delivering up to 37.5 GB/s
-shared across four cores, with a 45 ns access delay.  The timing results
-(Figs. 14 and 15) depend on two properties of that channel:
+shared across four cores, with a 45 ns access delay.  The cycle model's
+results (Fig. 14, fig06, ext01, ext02) depend on two properties of that
+channel:
 
 * every off-chip transfer — demand fill, prefetch fill, metadata read,
   metadata write — occupies the channel for ``64 B / (bytes/cycle)``;
@@ -11,35 +12,15 @@ shared across four cores, with a 45 ns access delay.  The timing results
 :class:`BandwidthLedger` is a single-server queue shared by all cores of
 a chip: a request arriving at time ``t`` starts service at
 ``max(t, channel_free)`` and holds the channel for one block-service
-time.  :class:`DramModel` layers the fixed access latency on top and
-keeps traffic counters by category for the Fig. 15 decomposition.
+time.  :class:`DramModel` adds the fixed access latency.  Neither counts
+traffic by category: Fig. 15's stack comes from the trace cells'
+coverage counters and :class:`~repro.memory.metadata.MetadataTraffic`,
+not from this channel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..config import BLOCK_SIZE, SystemConfig
-
-
-@dataclass
-class TrafficCounters:
-    """Block transfers by category (the Fig. 15 stack)."""
-
-    demand: int = 0
-    prefetch_useful: int = 0
-    prefetch_useless: int = 0
-    metadata_read: int = 0
-    metadata_write: int = 0
-
-    @property
-    def total(self) -> int:
-        return (self.demand + self.prefetch_useful + self.prefetch_useless
-                + self.metadata_read + self.metadata_write)
-
-    @property
-    def total_bytes(self) -> int:
-        return self.total * BLOCK_SIZE
+from ..config import SystemConfig
 
 
 class BandwidthLedger:
@@ -95,28 +76,18 @@ class BandwidthLedger:
 
 
 class DramModel:
-    """Latency + bandwidth + per-category traffic accounting."""
-
-    #: Traffic categories accepted by :meth:`access`.
-    CATEGORIES = ("demand", "prefetch_useful", "prefetch_useless",
-                  "metadata_read", "metadata_write")
+    """Fixed access latency on top of the shared channel's queue."""
 
     def __init__(self, config: SystemConfig, ledger: BandwidthLedger | None = None) -> None:
-        self.config = config
         self.latency = config.memory_latency_cycles
         self.ledger = ledger if ledger is not None else BandwidthLedger(
             config.cycles_per_block_transfer)
-        self.traffic = TrafficCounters()
 
-    def access(self, now: float, category: str = "demand") -> float:
-        """One block transfer starting at cycle ``now``.
+    def access(self, now: float, demand: bool = True) -> float:
+        """One block transfer starting at cycle ``now``: a demand fetch,
+        or a prefetch-class transfer when ``demand`` is false.
 
-        Returns the completion time: fixed latency plus any queueing
-        delay behind earlier transfers on the shared channel.
+        Returns the completion time: any queueing delay behind earlier
+        transfers on the shared channel plus the fixed latency.
         """
-        if category not in self.CATEGORIES:
-            raise ValueError(f"unknown traffic category {category!r}")
-        queue_delay = self.ledger.request(now, demand=(category == "demand"))
-        setattr(self.traffic, category, getattr(self.traffic, category) + 1)
-        return now + queue_delay + self.latency
-
+        return now + self.ledger.request(now, demand) + self.latency

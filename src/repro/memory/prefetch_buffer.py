@@ -18,7 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(slots=True)
 class BufferEntry:
     """One prefetched block resident in the buffer."""
 

@@ -44,6 +44,9 @@ class Prefetcher(ABC):
         if self.degree <= 0:
             raise ValueError("prefetch degree must be positive")
         self.metadata = MetadataTraffic()
+        #: Filled by :meth:`_kill_stream`, drained by
+        #: :meth:`take_killed_streams`; the engine reads it to skip the
+        #: drain call when it is empty.
         self._killed_streams: list[int] = []
 
     # -- triggering events ------------------------------------------------

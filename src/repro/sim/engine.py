@@ -165,8 +165,13 @@ class EventPath:
             candidates = prefetcher.on_miss(pc, block)
         self._account_demand(i, block, entry)
 
-        for sid in prefetcher.take_killed_streams():
-            buffer.invalidate_stream(sid)
+        # Most events kill no stream and issue nothing: skip the drain
+        # call and the candidate loop then.
+        if prefetcher._killed_streams:
+            for sid in prefetcher.take_killed_streams():
+                buffer.invalidate_stream(sid)
+        if not candidates:
+            return
 
         for cand_block, sid in candidates:
             if buffer.probe(cand_block) or cand_block in resident:

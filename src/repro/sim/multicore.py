@@ -90,15 +90,19 @@ def simulate_multicore(traces: list[MemoryTrace], config: SystemConfig,
     # Advance the core with the smallest local clock each step so shared
     # resources see requests in (approximately) global time order.  A
     # core with nothing to replay (an empty per-core trace) never
-    # enters the heap.
+    # enters the heap.  The stepped core is the heap's top; its new
+    # clock replaces it there in one sift, and (clock, index) keys are
+    # unique, so the order equals a pop followed by a push.
     heap = [(sim.now, idx) for idx, sim in enumerate(cores) if not sim.done()]
     heapq.heapify(heap)
     while heap:
-        _, idx = heapq.heappop(heap)
+        idx = heap[0][1]
         sim = cores[idx]
         sim.step()
-        if not sim.done():
-            heapq.heappush(heap, (sim.now, idx))
+        if sim.done():
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (sim.now, idx))
 
     result = MulticoreResult(workload=traces[0].name,
                              prefetcher=cores[0].prefetcher.name)

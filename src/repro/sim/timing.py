@@ -72,7 +72,9 @@ class TimingResult:
 class TimingSimulator(EventPath):
     """Replays one trace on one core with cycle accounting: the trace's
     L1 misses run the engine's :class:`~repro.sim.engine.EventPath`, and
-    its hooks and the hit runs between misses move the clock."""
+    its hooks and the hit runs between misses move the clock, one access
+    at a time in MODEL.md §2's order (every float must match the
+    per-access oracle in ``tests/sim/reference.py``)."""
 
     def __init__(self, config: SystemConfig, prefetcher: Prefetcher | None = None,
                  shared_llc: Cache | None = None,
@@ -82,8 +84,17 @@ class TimingSimulator(EventPath):
         #: contention); prefetches never install into it.
         self.llc = shared_llc if shared_llc is not None else Cache(config.llc)
         self.dram = DramModel(config, ledger=shared_ledger)
+        self._ledger = self.dram.ledger
+        self._width = config.issue_width
+        self._rob = config.rob_entries
+        self._mshrs = config.l1_mshrs
+        self._memory_latency = config.memory_latency_cycles
+        self._llc_latency = config.llc_latency_cycles
+        self._l1_hit_latency = config.l1d.hit_latency
         self._drop_backlog = (config.prefetch_drop_backlog_blocks
                               * config.cycles_per_block_transfer)
+        self._first_prefetch_delay = (self.prefetcher.first_prefetch_round_trips
+                                      * self._memory_latency)
 
         self.now = 0.0
         self.inst_index = 0
@@ -93,8 +104,8 @@ class TimingSimulator(EventPath):
         #: Streams that issued a prefetch since the start of the trace
         #: (warm-up included): the first-prefetch delay is per stream.
         self._seen_streams: set[int] = set()
-        self._md_reads = 0
-        self._md_writes = 0
+        #: Metadata transfers (reads and writes) charged to the channel.
+        self._md_charged = 0
         self.result = TimingResult(workload="", prefetcher=self.prefetcher.name)
 
     # -- public driving interface (multicore interleaves step calls) -----
@@ -141,17 +152,28 @@ class TimingSimulator(EventPath):
         """Process one L1 miss, then the hits up to the next miss (the
         first access always misses the cold L1, so the steps cover every
         access)."""
-        if self._row is None:
+        row = self._row
+        if row is None:
             raise SimulationError("step() past the end of the trace")
-        i, pc, block, victim_block = self._row
+        i, pc, block, victim_block = row
         self._row = row = next(self._rows, None)
         stop = row[0] if row is not None else self._n_accesses
-        self._work(i, i + 1)
+        # The miss's own access issues first; a warm-up that opens on
+        # it resets the counters before it.
+        if i == self._reset_at:
+            self._reset_counters()
+        work = self._works[i]
+        self.inst_index = inst = self.inst_index + work + 1
+        now = self.now + work / self._width
+        if self._outstanding:
+            now = self._retire(inst, now)
+        self.now = now
         self._on_l1_miss(i, pc, block, victim_block)
-        self._work(i + 1, stop)
+        if i + 1 < stop:
+            self._work(i + 1, stop)
 
     def _work(self, start: int, stop: int) -> None:
-        """Issue the instructions of accesses ``start..stop-1``, one
+        """Issue the instructions of the hits ``start..stop-1``, one
         access at a time, starting the measured window at ``warmup``."""
         reset_at = self._reset_at
         if start <= reset_at < stop:
@@ -159,14 +181,19 @@ class TimingSimulator(EventPath):
             self._reset_counters()
             start = reset_at
         works = self._works
-        width = self.config.issue_width
+        width = self._width
         outstanding = self._outstanding
+        retire = self._retire
+        now = self.now
+        inst = self.inst_index
         for k in range(start, stop):
             work = works[k]
-            self.now += work / width
-            self.inst_index += work + 1
+            now += work / width
+            inst += work + 1
             if outstanding:
-                self._retire(self.inst_index)
+                now = retire(inst, now)
+        self.now = now
+        self.inst_index = inst
 
     def _reset_counters(self) -> None:
         """Forget the counters, keep all simulated state (the prefetcher's
@@ -181,92 +208,98 @@ class TimingSimulator(EventPath):
     def _account_demand(self, i: int, block: int,
                         entry: BufferEntry | None) -> None:
         """The demand's cycles, then the metadata its training moved."""
-        config = self.config
         res = self.result
+        now = self.now
         dep = self._deps[i]
         if dep:
-            self.now = max(self.now, self._last_completion)
+            now = max(now, self._last_completion)
         if entry is not None:
             res.prefetch_hits += 1
-            if entry.ready_time > self.now:
+            if entry.ready_time > now:
                 # Late prefetch: the remaining latency behaves like a
                 # shortened miss — a dependent access stalls for it, an
                 # independent one overlaps it in the ROB window.  The
                 # demand merges with the in-flight prefetch and promotes
                 # it to demand priority, so the wait never exceeds a
                 # fresh fetch.
-                completion = min(entry.ready_time,
-                                 self.now + config.memory_latency_cycles)
+                completion = min(entry.ready_time, now + self._memory_latency)
                 res.late_prefetch_hits += 1
             else:
                 # Timely prefetch hit: the block is in the buffer, so
                 # the access costs an L1-hit latency like any other
                 # completed load.
-                completion = self.now + config.l1d.hit_latency
+                completion = now + self._l1_hit_latency
         elif self.llc.access(block):
             res.misses += 1
             res.llc_hits += 1
-            completion = self.now + config.llc_latency_cycles
+            completion = now + self._llc_latency
         else:
             res.misses += 1
             res.memory_accesses += 1
-            completion = self.dram.access(self.now, "demand")
+            completion = self.dram.access(now)
         if dep:
             # Pointer chase: the core cannot proceed without the data.
-            self.now = completion
+            now = completion
         else:
             self._outstanding.append((completion, self.inst_index))
-            self._retire(self.inst_index)
+            now = self._retire(self.inst_index, now)
         self._last_completion = completion
+        self.now = now
 
         # Charge new metadata transfers against the shared channel.
+        # Reads and writes are the same prefetch-class request at the
+        # same cycle, so one count of both suffices.
         metadata = self.prefetcher.metadata
-        for _ in range(metadata.reads - self._md_reads):
-            self.dram.access(self.now, "metadata_read")
-        for _ in range(metadata.writes - self._md_writes):
-            self.dram.access(self.now, "metadata_write")
-        self._md_reads = metadata.reads
-        self._md_writes = metadata.writes
+        charged = (metadata.index_reads + metadata.history_reads
+                   + metadata.index_writes + metadata.history_writes)
+        if charged != self._md_charged:
+            request = self._ledger.request
+            for _ in range(charged - self._md_charged):
+                request(now, False)  # prefetch class
+            self._md_charged = charged
 
     def _issue(self, block: int, stream_id: int) -> float | None:
         """Shed the prefetch under backlog, else its arrival cycle."""
-        if self.dram.ledger.backlog(self.now) > self._drop_backlog:
+        now = self.now
+        if self._ledger.backlog(now) > self._drop_backlog:
             # Channel saturated: shed the prefetch rather than queue it
             # behind an unbounded backlog.
             self.result.prefetches_dropped += 1
             return None
         if stream_id not in self._seen_streams:
             self._seen_streams.add(stream_id)
-            metadata_delay = (self.prefetcher.first_prefetch_round_trips
-                              * self.config.memory_latency_cycles)
+            metadata_delay = self._first_prefetch_delay
         else:
             metadata_delay = 0.0
         # The serialised metadata round trips delay the block's arrival;
         # the channel occupancy itself is charged at issue time so the
-        # single-server queue sees arrivals in order.
-        if self.llc.probe(block):
-            self.llc.access(block)  # LRU touch; no fill on a miss
-            ready = self.now + metadata_delay + self.config.llc_latency_cycles
+        # single-server queue sees arrivals in order.  An LLC hit moves
+        # the block to MRU there; a miss is served from memory and
+        # fills nothing.
+        if self.llc.touch(block):
+            ready = now + metadata_delay + self._llc_latency
         else:
-            ready = self.dram.access(self.now, "prefetch_useful") + metadata_delay
+            ready = self.dram.access(now, demand=False) + metadata_delay
         self.result.prefetches_issued += 1
         return ready
 
-    def _retire(self, inst_index: int) -> None:
-        """Stall when the ROB window or MSHR file is exhausted."""
-        rob = self.config.rob_entries
-        mshrs = self.config.l1_mshrs
+    def _retire(self, inst_index: int, now: float) -> float:
+        """Stall when the ROB window or MSHR file is exhausted; returns
+        the clock ``now`` advanced past the stalls."""
+        rob = self._rob
+        mshrs = self._mshrs
         outstanding = self._outstanding
         while outstanding:
             completion, issued_at = outstanding[0]
-            if completion <= self.now:
+            if completion <= now:
                 outstanding.popleft()
                 continue
             if inst_index - issued_at >= rob or len(outstanding) > mshrs:
-                self.now = completion
+                now = completion
                 outstanding.popleft()
                 continue
             break
+        return now
 
     # -- one-shot convenience -----------------------------------------------
     def run(self, trace: MemoryTrace, warmup: int = 0) -> TimingResult:

@@ -1,5 +1,7 @@
 """Set-associative cache model tests."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from repro.config import CacheConfig
 from repro.errors import ConfigError
 from repro.memory.cache import Cache
+
+from ..sim.reference import ListLru
 
 
 def small_cache(sets=4, ways=2) -> Cache:
@@ -70,6 +74,25 @@ class TestAccess:
         assert cache.stats.hit_rate == pytest.approx(1 / 3)
 
 
+class TestTouch:
+    def test_touch_promotes_a_resident_block(self):
+        cache = small_cache(sets=4, ways=2)
+        cache.access(0)
+        cache.access(4)
+        assert cache.touch(0) is True  # promote 0
+        cache.access(8)  # evicts 4
+        assert cache.probe(0) and not cache.probe(4)
+        assert (cache.stats.accesses, cache.stats.hits) == (4, 1)
+
+    def test_touch_miss_allocates_nothing(self):
+        cache = small_cache(sets=4, ways=2)
+        cache.access(0)
+        assert cache.touch(4) is False
+        assert not cache.probe(4)
+        assert len(cache) == 1
+        assert (cache.stats.accesses, cache.stats.misses) == (1, 1)
+
+
 class TestProbe:
     def test_probe_has_no_side_effects(self):
         cache = small_cache(sets=4, ways=2)
@@ -109,3 +132,49 @@ def test_capacity_invariant_and_recent_block_resident(blocks):
         assert len(cache) <= cache.config.n_blocks
     assert cache.stats.accesses == len(blocks)
     assert cache.stats.hits + cache.stats.misses == len(blocks)
+
+
+#: (sets, ways): direct-mapped, fully associative, a modulo-indexed
+#: (non-power-of-two) geometry and two power-of-two ones.
+GEOMETRIES = [(8, 1), (1, 4), (3, 2), (4, 2), (2, 4)]
+
+BLOCKS = range(40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(geometry=st.sampled_from(GEOMETRIES),
+       ops=st.lists(st.tuples(st.sampled_from(("access", "traced", "touch")),
+                              st.sampled_from(BLOCKS)), max_size=300))
+def test_matches_independent_lru_model(geometry, ops):
+    """``Cache`` against the list-per-set LRU model of the filter oracle,
+    which shares no code with it: equal hits and misses, equal victims
+    and equal resident sets after every operation, and a ``touch`` that
+    misses allocates nothing and counts nothing."""
+    sets, ways = geometry
+    cache = Cache(CacheConfig(size_bytes=sets * ways * 64, ways=ways))
+    model = ListLru(cache.config)
+    hits = misses = 0
+    for op, block in ops:
+        before = model.resident()
+        stats_before = dataclasses.replace(cache.stats)
+        if op == "touch":
+            hit, victim = model.touch(block), -1
+            assert cache.touch(block) is hit
+            if not hit:
+                assert cache.stats == stats_before
+        else:
+            hit, victim = model.access(block)
+            misses += not hit
+            if op == "traced":
+                assert cache.access_traced(block) == (
+                    hit, None if victim < 0 else victim)
+            else:
+                assert cache.access(block) is hit
+        hits += hit
+        resident = {b for b in BLOCKS if cache.probe(b)}
+        assert resident == model.resident()
+        assert len(cache) == len(resident)
+        assert before - resident == ({victim} if victim >= 0 else set())
+    assert (cache.stats.hits, cache.stats.misses) == (hits, misses)
+    assert cache.stats.accesses == hits + misses
+    assert cache.stats.fills == misses

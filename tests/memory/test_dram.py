@@ -1,9 +1,9 @@
-"""DRAM latency, bandwidth ledger, and traffic accounting."""
+"""DRAM latency and the shared bandwidth ledger."""
 
 import pytest
 
 from repro.config import SystemConfig
-from repro.memory.dram import BandwidthLedger, DramModel, TrafficCounters
+from repro.memory.dram import BandwidthLedger, DramModel
 
 
 class TestBandwidthLedger:
@@ -58,32 +58,21 @@ class TestDramModel:
     def test_latency_applied(self):
         config = SystemConfig()
         dram = DramModel(config)
-        completion = dram.access(0.0, "demand")
+        completion = dram.access(0.0)
         assert completion == pytest.approx(config.memory_latency_cycles)
 
-    def test_traffic_categories_counted(self):
-        dram = DramModel(SystemConfig())
-        dram.access(0.0, "demand")
-        dram.access(0.0, "metadata_read")
-        for _ in range(3):
-            dram.access(0.0, "metadata_write")
-        assert dram.traffic.demand == 1
-        assert dram.traffic.metadata_read == 1
-        assert dram.traffic.metadata_write == 3
-        assert dram.traffic.total == 5
-
-    def test_unknown_category_rejected(self):
-        dram = DramModel(SystemConfig())
-        with pytest.raises(ValueError):
-            dram.access(0.0, "bogus")
+    def test_completion_is_queue_delay_plus_latency(self):
+        config = SystemConfig()
+        dram = DramModel(config)
+        latency = config.memory_latency_cycles
+        cycles = config.cycles_per_block_transfer
+        assert dram.access(10.0) == 10.0 + latency
+        # A prefetch-class transfer queues behind the demand...
+        assert dram.access(10.0, demand=False) == pytest.approx(10.0 + cycles + latency)
+        # ...but a demand transfer ignores prefetch-class backlog.
+        assert dram.access(10.0 + cycles) == 10.0 + cycles + latency
 
     def test_cycles_per_block_matches_table1(self):
         config = SystemConfig()
         # 37.5 GB/s at 4 GHz = 9.375 B/cycle -> 64 B block every ~6.83 cycles
         assert config.cycles_per_block_transfer == pytest.approx(64 / 9.375)
-
-
-class TestTrafficCounters:
-    def test_total_bytes(self):
-        t = TrafficCounters(demand=2)
-        assert t.total_bytes == 128

@@ -14,11 +14,17 @@ and filtering every prefetch candidate:
 * :class:`ReferenceTimingSimulator` is the cycle model's oracle: one
   ``step`` per access, with a warm-up snapshot that is subtracted at
   the end, and :func:`reference_multicore` interleaves such cores one
-  access at a time.  ``TimingSimulator.run`` and ``simulate_multicore``
-  must equal them field for field.
+  access at a time.  It queues every off-chip transfer on the
+  ``BandwidthLedger`` and adds the memory latency itself (no
+  ``DramModel``), and it probes, then accesses, the LLC for a prefetch
+  (no ``Cache.touch``).  ``TimingSimulator.run`` and
+  ``simulate_multicore`` must equal them field for field.
 
 :func:`reference_filter_rows` is the matching oracle for the filter
-build: a list-per-set LRU model that shares no code with ``Cache``.
+build.  It runs :class:`ListLru`, a list-per-set LRU model that shares
+no code with ``Cache``; ``tests/memory/test_cache.py`` holds ``Cache``
+itself to the same model, because both oracles above simulate their
+caches with ``Cache``.
 """
 
 import copy
@@ -27,7 +33,7 @@ from collections import deque
 
 from repro.config import CacheConfig, SystemConfig, small_test_config
 from repro.memory.cache import Cache
-from repro.memory.dram import BandwidthLedger, DramModel
+from repro.memory.dram import BandwidthLedger
 from repro.memory.prefetch_buffer import PrefetchBuffer
 from repro.prefetchers.base import NullPrefetcher, Prefetcher
 from repro.prefetchers.registry import make_prefetcher
@@ -100,25 +106,53 @@ class ReferenceSimulator(TraceSimulator):
         return self._finalise(trace.name)
 
 
-def reference_filter_rows(trace: MemoryTrace,
-                          l1: CacheConfig) -> list[tuple[int, int, int, int]]:
-    """``(index, pc, block, evicted)`` of every L1 miss of ``trace``.
+class ListLru:
+    """A set-associative LRU model that shares no code with ``Cache``.
 
     Each set is a plain list in recency order (least recent first), so
     a miss evicts ``lru[0]`` once the set holds ``ways`` blocks.
     """
-    sets: list[list[int]] = [[] for _ in range(l1.n_sets)]
-    rows = []
-    pcs, blocks = trace.pcs.tolist(), trace.blocks.tolist()
-    for i, (pc, block) in enumerate(zip(pcs, blocks, strict=True)):
-        lru = sets[block % l1.n_sets]
+
+    def __init__(self, config: CacheConfig) -> None:
+        self.n_sets, self.ways = config.n_sets, config.ways
+        self.sets: list[list[int]] = [[] for _ in range(config.n_sets)]
+
+    def access(self, block: int) -> tuple[bool, int]:
+        """``(hit, evicted)``: a miss allocates ``block`` and evicts the
+        least recent block of a full set (``-1`` when none)."""
+        lru = self.sets[block % self.n_sets]
         if block in lru:
             lru.remove(block)
             lru.append(block)
-            continue
-        victim = lru.pop(0) if len(lru) == l1.ways else -1
+            return True, -1
+        victim = lru.pop(0) if len(lru) == self.ways else -1
         lru.append(block)
-        rows.append((i, pc, block, victim))
+        return False, victim
+
+    def touch(self, block: int) -> bool:
+        """Promote ``block`` if resident; a miss changes nothing."""
+        lru = self.sets[block % self.n_sets]
+        if block not in lru:
+            return False
+        lru.remove(block)
+        lru.append(block)
+        return True
+
+    def resident(self) -> set[int]:
+        return {block for lru in self.sets for block in lru}
+
+
+def reference_filter_rows(trace: MemoryTrace,
+                          l1: CacheConfig) -> list[tuple[int, int, int, int]]:
+    """``(index, pc, block, evicted)`` of every L1 miss of ``trace``,
+    from a :class:`ListLru` L1."""
+    model = ListLru(l1)
+    rows = []
+    pcs, blocks = trace.pcs.tolist(), trace.blocks.tolist()
+    for i, (pc, block) in enumerate(zip(pcs, blocks, strict=True)):
+        hit, victim = model.access(block)
+        if not hit:
+            rows.append((i, pc, block, victim))
     return rows
 
 
@@ -154,7 +188,8 @@ class ReferenceTimingSimulator:
         self.prefetcher = prefetcher if prefetcher is not None else NullPrefetcher(config)
         self.l1 = Cache(config.l1d)
         self.llc = shared_llc if shared_llc is not None else Cache(config.llc)
-        self.dram = DramModel(config, ledger=shared_ledger)
+        self.ledger = shared_ledger if shared_ledger is not None else BandwidthLedger(
+            config.cycles_per_block_transfer)
         self.buffer = PrefetchBuffer(config.prefetch_buffer_blocks)
 
         self.now = 0.0
@@ -250,7 +285,7 @@ class ReferenceTimingSimulator:
             completion = self.now + self.config.llc_latency_cycles
         else:
             res.memory_accesses += 1
-            completion = self.dram.access(self.now, "demand")
+            completion = self._memory(demand=True)
         if dep:
             self.now = completion
         else:
@@ -259,6 +294,12 @@ class ReferenceTimingSimulator:
         self._last_completion = completion
         candidates = self.prefetcher.on_miss(pc, block)
         self._after_event(candidates)
+
+    def _memory(self, demand: bool) -> float:
+        """Completion of one off-chip block fetch issued now: the
+        channel's queueing delay, then the fixed memory latency."""
+        return (self.now + self.ledger.request(self.now, demand=demand)
+                + self.config.memory_latency_cycles)
 
     def _retire(self, inst_index: int) -> None:
         rob = self.config.rob_entries
@@ -278,9 +319,9 @@ class ReferenceTimingSimulator:
     def _after_event(self, candidates) -> None:
         metadata = self.prefetcher.metadata
         for _ in range(metadata.reads - self._md_reads):
-            self.dram.access(self.now, "metadata_read")
+            self.ledger.request(self.now, demand=False)
         for _ in range(metadata.writes - self._md_writes):
-            self.dram.access(self.now, "metadata_write")
+            self.ledger.request(self.now, demand=False)
         self._md_reads = metadata.reads
         self._md_writes = metadata.writes
 
@@ -293,7 +334,7 @@ class ReferenceTimingSimulator:
         for block, sid in candidates:
             if self.buffer.probe(block) or self.l1.probe(block):
                 continue
-            if self.dram.ledger.backlog(self.now) > drop_backlog:
+            if self.ledger.backlog(self.now) > drop_backlog:
                 self.result.prefetches_dropped += 1
                 continue
             if sid not in self._seen_streams:
@@ -305,7 +346,7 @@ class ReferenceTimingSimulator:
                 self.llc.access(block)
                 ready = self.now + metadata_delay + self.config.llc_latency_cycles
             else:
-                ready = self.dram.access(self.now, "prefetch_useful") + metadata_delay
+                ready = self._memory(demand=False) + metadata_delay
             self.result.prefetches_issued += 1
             victim = self.buffer.insert(block, sid, ready_time=ready)
             if victim is not None:

@@ -11,8 +11,8 @@ that advances one access at a time.  Single-core
 :func:`~repro.sim.multicore.simulate_multicore` runs must equal it field
 for field (floats compared as ``float.hex``), for every registered
 prefetcher on four workloads, with and without a warm-up window (one
-of which opens inside a run of L1 hits), under the timing and the small
-test configuration.
+of which opens inside a run of L1 hits and one on an L1 miss), under
+the timing and the small test configuration.
 
 The cycle model also makes the same trace-level decisions as the trace
 engine — buffer lookup, which candidates to issue — and only adds time
@@ -91,12 +91,15 @@ def test_trace_and_timing_engines_agree(traces, name, config_name):
 
 
 def _timing_warmups(trace, config):
-    """No warm-up, half the trace, and the first L1 hit from the half
-    on: the measured window may open inside a hit run."""
+    """No warm-up, half the trace, and the first L1 hit and the first L1
+    miss from the half on: the measured window may open inside a hit run
+    or on the miss whose own access ``step`` issues."""
     half = len(trace) // 2
-    misses = set(build_l1_filter(trace, config).indices.tolist())
-    first_hit = next(i for i in range(half, len(trace)) if i not in misses)
-    return (0, half, first_hit)
+    misses = build_l1_filter(trace, config).indices.tolist()
+    miss_set = set(misses)
+    first_hit = next(i for i in range(half, len(trace)) if i not in miss_set)
+    first_miss = next(i for i in misses if i >= half)
+    return tuple(dict.fromkeys((0, half, first_hit, first_miss)))
 
 
 @pytest.mark.parametrize("config_name", sorted(TIMING_CONFIGS))
